@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import SimulationError
 from repro.dramsys.config import ControllerConfig
@@ -55,7 +55,7 @@ class SimResult:
     refreshes: int
     reads: int
     writes: int
-    energy_breakdown_nj: Dict[str, float] = None  # act/rw/refresh/background
+    energy_breakdown_nj: Optional[Dict[str, float]] = None  # act/rw/refresh/background
 
     @property
     def row_hit_rate(self) -> float:
@@ -74,51 +74,34 @@ class SimResult:
         }
 
 
-@dataclass
-class _Bank:
-    open_row: Optional[int] = None
-    ready_at: float = 0.0
-    last_act: float = float("-inf")
-    blocked_until: float = 0.0      # refresh blackout
-    opened_since: Optional[float] = None
-    open_time: float = 0.0
-
-    def accumulate_open(self, until: float) -> None:
-        if self.opened_since is not None:
-            self.open_time += max(0.0, until - self.opened_since)
-            self.opened_since = None
+#: A trace decoded against one device: per-request arrival (ns), bank,
+#: row and direction, as parallel tuples indexed by request order.
+_Decoded = Tuple[tuple, tuple, tuple, tuple]
 
 
-@dataclass
-class _Entry:
-    order: int
-    arrival: float
-    address: int
-    bank: int
-    row: int
-    is_write: bool
-    finish: float = 0.0
-
-
-@dataclass
-class _RefreshPlan:
-    """Granularity-specific refresh parameters (derived from policy)."""
-
-    interval: float         # time between refresh operations
-    duration: float         # blackout per operation
-    energy: float           # nJ per operation
-    banks_per_op: int       # how many banks each operation blocks
+def _decode(trace: Trace, device: DramDevice) -> _Decoded:
+    arrival, bank, row, is_write = [], [], [], []
+    for r in trace.requests:
+        b, rw = device.map_address(r.address)
+        arrival.append(r.arrival_ns)
+        bank.append(b)
+        row.append(rw)
+        is_write.append(r.is_write)
+    return tuple(arrival), tuple(bank), tuple(row), tuple(is_write)
 
 
 class DramSimulator:
     """Simulates memory traces against controller design points.
 
-    A single instance is stateless across calls: :meth:`simulate` can be
-    invoked repeatedly (the DSE loop does exactly that).
+    :meth:`simulate` can be invoked repeatedly (the DSE loop does exactly
+    that) and from several threads at once. The only state kept between
+    calls is the decode of the last trace seen (address -> bank/row),
+    held in one attribute that is replaced, never mutated.
     """
 
     def __init__(self, device: DramDevice = DDR4_2400):
         self.device = device
+        self._decoded: Optional[Tuple[Trace, DramDevice, _Decoded]] = None
 
     # -- public API ---------------------------------------------------------------
 
@@ -126,335 +109,337 @@ class DramSimulator:
         """Run ``trace`` through a controller built from ``config``."""
         if len(trace) == 0:
             raise SimulationError("cannot simulate an empty trace")
-        return _Run(self.device, config, trace).execute()
+        device = self.device
+        memo = self._decoded
+        if memo is None or memo[0] is not trace or memo[1] is not device:
+            memo = (trace, device, _decode(trace, device))
+            self._decoded = memo
+        return _execute(device, config, memo[2])
 
 
-class _Run:
-    """One simulation execution (all mutable state lives here)."""
+def _refresh_banks(
+    first: int, count: int, nbanks: int, at: float, blackout_end: float,
+    open_row: List[int], opened_since: List[float], open_time: List[float],
+    blocked_until: List[float],
+) -> None:
+    """One refresh operation at ``at``: precharge ``count`` banks from
+    ``first`` (round robin) and black them out until ``blackout_end``."""
+    for k in range(count):
+        b = (first + k) % nbanks
+        if open_row[b] >= 0:
+            span = at - opened_since[b]
+            open_time[b] += span if span > 0.0 else 0.0
+            open_row[b] = -1
+        if blackout_end > blocked_until[b]:
+            blocked_until[b] = blackout_end
 
-    def __init__(self, device: DramDevice, config: ControllerConfig, trace: Trace):
-        self.dev = device
-        self.t = device.timings
-        self.cfg = config
-        self.trace = trace
 
-        self.banks = [_Bank() for _ in range(device.banks)]
-        self.bus_free = 0.0
-        self.bus_last_write: Optional[bool] = None
-        self.now = 0.0
+def _execute(device: DramDevice, cfg: ControllerConfig, decoded: _Decoded) -> SimResult:
+    """One simulation: a single event loop over request indices.
 
-        # refresh
-        self.plan = self._refresh_plan()
-        self.refresh_due = self.plan.interval
-        self.refresh_debt = 0
-        self.refresh_credit = 0
-        self.refresh_rr_bank = 0
-        self.n_refreshes = 0
+    Per-bank state lives in parallel lists (``open_row`` is -1 while the
+    bank is precharged; ``opened_since`` is meaningful only while it is
+    open) and every timing, energy and counter in a local. The
+    ``if b > a: a = b`` comparisons stand in for ``max(a, b)`` with its
+    tie rule (the earlier operand wins unless a later one is strictly
+    greater), so every float result is the one ``max`` would give.
+    """
+    arrival, bank_of, row_of, is_write = decoded
+    n = len(arrival)
+    t = device.timings
+    trc, trcd, trp, tras = t.trc, t.trcd, t.trp, t.tras
+    tcl, tcwd, twr, twtr, trtw = t.tcl, t.tcwd, t.twr, t.twtr, t.trtw
+    burst_time = t.burst_time
+    energy = device.energy
+    e_act, e_read, e_write = energy.e_act, energy.e_read, energy.e_write
+    nbanks = device.banks
 
-        # energy accounting (nJ), split by component
-        self.e_act_total = 0.0
-        self.e_rw_total = 0.0
-        self.e_refresh_total = 0.0
-
-        # stats
-        self.row_hits = 0
-        self.row_misses = 0
-        self.row_conflicts = 0
-        self.reads = 0
-        self.writes = 0
-
-        # in-flight transaction cap
-        self.inflight: List[float] = []  # min-heap of finish times
-
-        # read/write drain state for the ReadWrite buffer organization
-        self.draining_writes = False
-        # bankwise round-robin pointer
-        self.bank_rr = 0
-
-    # -- refresh ---------------------------------------------------------------------
-
-    def _refresh_plan(self) -> _RefreshPlan:
-        t, e, nbanks = self.t, self.dev.energy, self.dev.banks
-        if self.cfg.refresh_policy == "AllBank":
-            return _RefreshPlan(t.trefi, t.trfc, e.e_refresh, nbanks)
-        if self.cfg.refresh_policy == "SameBank":
-            # two bank groups refreshed alternately, half the blackout each
-            return _RefreshPlan(t.trefi / 2, t.trfc * 0.6, e.e_refresh / 2, nbanks // 2)
+    # refresh granularity
+    if cfg.refresh_policy == "AllBank":
+        interval, duration, refresh_energy, banks_per_op = (
+            t.trefi, t.trfc, energy.e_refresh, nbanks)
+    elif cfg.refresh_policy == "SameBank":
+        # two bank groups refreshed alternately, half the blackout each
+        interval, duration, refresh_energy, banks_per_op = (
+            t.trefi / 2, t.trfc * 0.6, energy.e_refresh / 2, nbanks // 2)
+    else:
         # PerBank: one bank at a time, short blackout, lowest disturbance
-        return _RefreshPlan(t.trefi / nbanks, t.trfc * 0.3, e.e_refresh / nbanks, 1)
+        interval, duration, refresh_energy, banks_per_op = (
+            t.trefi / nbanks, t.trfc * 0.3, energy.e_refresh / nbanks, 1)
+    max_postponed = cfg.refresh_max_postponed
+    max_pulledin = cfg.refresh_max_pulledin
 
-    def _blocked_banks_for_refresh(self) -> List[int]:
-        n = self.plan.banks_per_op
-        start = self.refresh_rr_bank
-        self.refresh_rr_bank = (start + n) % self.dev.banks
-        return [(start + i) % self.dev.banks for i in range(n)]
+    # controller policies, decided once
+    cap = cfg.request_buffer_size
+    max_active = cfg.max_active_transactions
+    org = cfg.scheduler_buffer
+    read_write_org = org == "ReadWrite"
+    bankwise_org = org == "Bankwise"
+    drain_stop = max(1, cap // 4)
+    drain_start = max(1, (3 * cap) // 4)
+    # Fifo arbiter: reordering restricted to the oldest half-window
+    # (Reorder: the whole buffer, which never holds more than cap)
+    window = cap if cfg.arbiter == "Reorder" else max(1, (cap + 1) // 2)
+    fifo_sched = cfg.scheduler == "Fifo"
+    grouped_sched = cfg.scheduler == "FrFcFsGrp"
+    close_always = cfg.page_policy == "Closed"
+    close_adaptive = cfg.page_policy in ("OpenAdaptive", "ClosedAdaptive")
 
-    def _perform_refresh(self, at: float, count: int = 1) -> float:
-        """Execute ``count`` back-to-back refresh operations at ``at``.
-        Returns the time the blackout ends."""
-        end = at
-        for _ in range(count):
-            for b in self._blocked_banks_for_refresh():
-                bank = self.banks[b]
-                bank.accumulate_open(end)   # refresh precharges the row
-                bank.open_row = None
-                bank.blocked_until = max(bank.blocked_until, end + self.plan.duration)
-            self.e_refresh_total += self.plan.energy
-            self.n_refreshes += 1
-            end += self.plan.duration
-        return end
+    open_row = [-1] * nbanks
+    ready_at = [0.0] * nbanks
+    last_act = [float("-inf")] * nbanks
+    blocked_until = [0.0] * nbanks    # refresh blackout
+    opened_since = [0.0] * nbanks
+    open_time = [0.0] * nbanks
+    finish = [0.0] * n
 
-    def _refresh_tick(self, buffer_nonempty: bool) -> None:
-        """Apply the postpone/pull-in policy at the current time."""
-        while self.now >= self.refresh_due:
-            if self.refresh_credit > 0:
+    bus_free = 0.0
+    bus_last_write: Optional[bool] = None
+    now = 0.0
+    refresh_due = interval
+    refresh_debt = 0
+    refresh_credit = 0
+    refresh_rr_bank = 0
+    n_refreshes = 0
+    # energy accounting (nJ), split by component
+    e_act_total = 0.0
+    e_rw_total = 0.0
+    e_refresh_total = 0.0
+    row_hits = row_misses = row_conflicts = reads = writes = 0
+    inflight: List[float] = []  # min-heap of finish times
+    draining_writes = False     # ReadWrite organization drain state
+    bank_rr = 0                 # Bankwise round-robin pointer
+    heappush, heappop = heapq.heappush, heapq.heappop
+
+    next_idx = 0
+    buffer: List[int] = []      # request indices, oldest first
+    while next_idx < n or buffer:
+        # admit arrivals up to the request buffer capacity
+        while next_idx < n and arrival[next_idx] <= now and len(buffer) < cap:
+            buffer.append(next_idx)
+            next_idx += 1
+
+        if not buffer:
+            # idle: pull refreshes into the gap (up to the pull-in cap),
+            # then jump to the next arrival
+            next_arrival = arrival[next_idx]
+            while refresh_credit < max_pulledin and now + duration <= next_arrival:
+                _refresh_banks(refresh_rr_bank, banks_per_op, nbanks, now, now + duration,
+                               open_row, opened_since, open_time, blocked_until)
+                refresh_rr_bank = (refresh_rr_bank + banks_per_op) % nbanks
+                e_refresh_total += refresh_energy
+                n_refreshes += 1
+                refresh_credit += 1
+                now += duration
+            if next_arrival > now:
+                now = next_arrival
+            continue
+
+        # refresh postpone/pull-in policy at the current time
+        while now >= refresh_due:
+            if refresh_credit > 0:
                 # a pulled-in refresh already covered this interval
-                self.refresh_credit -= 1
-                self.refresh_due += self.plan.interval
-            elif buffer_nonempty and self.refresh_debt < self.cfg.refresh_max_postponed:
-                self.refresh_debt += 1
-                self.refresh_due += self.plan.interval
+                refresh_credit -= 1
+            elif refresh_debt < max_postponed:
+                refresh_debt += 1
             else:
                 # pay the whole debt in one blackout burst
-                self._perform_refresh(self.now, count=self.refresh_debt + 1)
-                self.refresh_debt = 0
-                self.refresh_due += self.plan.interval
+                end = now
+                for _ in range(refresh_debt + 1):
+                    _refresh_banks(refresh_rr_bank, banks_per_op, nbanks, end, end + duration,
+                                   open_row, opened_since, open_time, blocked_until)
+                    refresh_rr_bank = (refresh_rr_bank + banks_per_op) % nbanks
+                    e_refresh_total += refresh_energy
+                    n_refreshes += 1
+                    end += duration
+                refresh_debt = 0
+            refresh_due += interval
 
-    def _try_pull_in(self, idle_until: float) -> None:
-        """Issue early refreshes into an idle gap, up to the pull-in cap."""
-        while (
-            self.refresh_credit < self.cfg.refresh_max_pulledin
-            and self.now + self.plan.duration <= idle_until
-        ):
-            self._perform_refresh(self.now)
-            self.refresh_credit += 1
-            self.now += self.plan.duration
+        # in-flight cap: wait for the oldest transaction to retire
+        while len(inflight) >= max_active:
+            retired = heappop(inflight)
+            if retired > now:
+                now = retired
+        while inflight and inflight[0] <= now:
+            heappop(inflight)
 
-    # -- scheduling -----------------------------------------------------------------
+        # scheduler buffer organization, then the arbiter window
+        if read_write_org:
+            pool = [i for i in buffer if is_write[i]]
+            if draining_writes:
+                if len(pool) <= drain_stop:
+                    draining_writes = False
+            elif len(pool) >= drain_start:
+                draining_writes = True
+            if not (draining_writes and pool):
+                pool = [i for i in buffer if not is_write[i]] or buffer
+        elif bankwise_org:
+            # the pointer wraps modulo the *current* number of banks with
+            # work, so it drifts as that number changes (as modeled)
+            banks_with_work = sorted({bank_of[i] for i in buffer})
+            chosen_bank = banks_with_work[bank_rr % len(banks_with_work)]
+            bank_rr = (bank_rr + 1) % len(banks_with_work)
+            pool = [i for i in buffer if bank_of[i] == chosen_bank]
+        else:
+            pool = buffer
+        if window < len(pool):
+            pool = pool[:window]
 
-    def _visible(self, buffer: List[_Entry]) -> List[_Entry]:
-        """Entries the scheduler may reorder among (arbiter policy)."""
-        if self.cfg.arbiter == "Reorder":
-            return buffer
-        # Fifo arbiter: reordering restricted to the oldest half-window
-        window = max(1, (self.cfg.request_buffer_size + 1) // 2)
-        return buffer[:window]
+        # scheduler: FR-FCFS serves row hits first; the grouped variant
+        # prefers row hits matching the bus direction, then any row hit,
+        # then same-direction, then oldest
+        pick = pool[0]
+        if not fifo_sched:
+            if grouped_sched:
+                direction = bus_last_write
+                first_hit = first_same_dir = -1
+                for i in pool:
+                    if open_row[bank_of[i]] == row_of[i]:
+                        if is_write[i] == direction:
+                            pick = i
+                            break
+                        if first_hit < 0:
+                            first_hit = i
+                    elif first_same_dir < 0 and is_write[i] == direction:
+                        first_same_dir = i
+                else:
+                    if first_hit >= 0:
+                        pick = first_hit
+                    elif first_same_dir >= 0:
+                        pick = first_same_dir
+            else:
+                for i in pool:
+                    if open_row[bank_of[i]] == row_of[i]:
+                        pick = i
+                        break
+        buffer.remove(pick)
 
-    def _candidates(self, buffer: List[_Entry]) -> List[_Entry]:
-        """Apply the scheduler-buffer organization, then the arbiter."""
-        org = self.cfg.scheduler_buffer
-        if org == "ReadWrite":
-            writes = [e for e in buffer if e.is_write]
-            cap = self.cfg.request_buffer_size
-            if self.draining_writes:
-                if len(writes) <= max(1, cap // 4):
-                    self.draining_writes = False
-            elif len(writes) >= max(1, (3 * cap) // 4):
-                self.draining_writes = True
-            pool = writes if (self.draining_writes and writes) else \
-                [e for e in buffer if not e.is_write] or buffer
-            return self._visible(pool)
-        if org == "Bankwise":
-            banks_with_work = sorted({e.bank for e in buffer})
-            for step in range(len(banks_with_work)):
-                b = banks_with_work[(self.bank_rr + step) % len(banks_with_work)]
-                pool = [e for e in buffer if e.bank == b]
-                if pool:
-                    self.bank_rr = (self.bank_rr + step + 1) % max(1, len(banks_with_work))
-                    return self._visible(pool)
-        return self._visible(buffer)
-
-    def _select(self, buffer: List[_Entry]) -> _Entry:
-        pool = self._candidates(buffer)
-        policy = self.cfg.scheduler
-        if policy == "Fifo":
-            return pool[0]
-
-        def is_hit(e: _Entry) -> bool:
-            return self.banks[e.bank].open_row == e.row
-
-        if policy == "FrFcFs":
-            hits = [e for e in pool if is_hit(e)]
-            return hits[0] if hits else pool[0]
-
-        # FrFcFsGrp: row hits matching the current bus direction first,
-        # then any row hit, then same-direction, then oldest.
-        direction = self.bus_last_write
-        same_dir_hits = [e for e in pool if is_hit(e) and e.is_write == direction]
-        if same_dir_hits:
-            return same_dir_hits[0]
-        hits = [e for e in pool if is_hit(e)]
-        if hits:
-            return hits[0]
-        same_dir = [e for e in pool if e.is_write == direction]
-        return same_dir[0] if same_dir else pool[0]
-
-    # -- per-access timing ---------------------------------------------------------
-
-    def _service(self, entry: _Entry) -> None:
-        bank = self.banks[entry.bank]
-        t = self.t
-        start = max(self.now, bank.ready_at, bank.blocked_until)
-
-        if bank.open_row == entry.row:
-            self.row_hits += 1
+        # per-access timing
+        b = bank_of[pick]
+        row = row_of[pick]
+        write = is_write[pick]
+        start = now
+        if ready_at[b] > start:
+            start = ready_at[b]
+        if blocked_until[b] > start:
+            start = blocked_until[b]
+        current = open_row[b]
+        if current == row:
+            row_hits += 1
             col_ready = start
-        elif bank.open_row is None:
-            self.row_misses += 1
-            act_at = max(start, bank.last_act + t.trc)
-            bank.last_act = act_at
-            bank.opened_since = act_at
-            bank.open_row = entry.row
-            self.e_act_total += self.dev.energy.e_act
-            col_ready = act_at + t.trcd
         else:
-            self.row_conflicts += 1
-            bank.accumulate_open(start)
-            pre_done = max(start + t.trp, bank.last_act + t.tras + t.trp)
-            act_at = max(pre_done, bank.last_act + t.trc)
-            bank.last_act = act_at
-            bank.opened_since = act_at
-            bank.open_row = entry.row
-            self.e_act_total += self.dev.energy.e_act
-            col_ready = act_at + t.trcd
+            if current < 0:
+                row_misses += 1
+                act_at = last_act[b] + trc
+                if not act_at > start:
+                    act_at = start
+            else:
+                row_conflicts += 1
+                span = start - opened_since[b]
+                open_time[b] += span if span > 0.0 else 0.0
+                pre_done = start + trp
+                bound = last_act[b] + tras + trp
+                if bound > pre_done:
+                    pre_done = bound
+                act_at = last_act[b] + trc
+                if not act_at > pre_done:
+                    act_at = pre_done
+            last_act[b] = act_at
+            opened_since[b] = act_at
+            open_row[b] = row
+            e_act_total += e_act
+            col_ready = act_at + trcd
 
-        cas = t.tcwd if entry.is_write else t.tcl
         turnaround = 0.0
-        if self.bus_last_write is not None and self.bus_last_write != entry.is_write:
-            turnaround = t.twtr if self.bus_last_write else t.trtw
-        data_start = max(col_ready + cas, self.bus_free + turnaround)
-        finish = data_start + t.burst_time
-
-        self.bus_free = finish
-        self.bus_last_write = entry.is_write
-        bank.ready_at = finish + (t.twr if entry.is_write else 0.0)
-        entry.finish = finish
-
-        if entry.is_write:
-            self.writes += 1
-            self.e_rw_total += self.dev.energy.e_write
+        if bus_last_write is not None and bus_last_write != write:
+            turnaround = twtr if bus_last_write else trtw
+        data_start = col_ready + (tcwd if write else tcl)
+        bus_ready = bus_free + turnaround
+        if bus_ready > data_start:
+            data_start = bus_ready
+        done_at = data_start + burst_time
+        bus_free = done_at
+        bus_last_write = write
+        ready_at[b] = done_at + (twr if write else 0.0)
+        finish[pick] = done_at
+        if write:
+            writes += 1
+            e_rw_total += e_write
         else:
-            self.reads += 1
-            self.e_rw_total += self.dev.energy.e_read
+            reads += 1
+            e_rw_total += e_read
+        now = data_start
+        heappush(inflight, done_at)
 
-        self.now = data_start
-        heapq.heappush(self.inflight, finish)
-
-    def _apply_page_policy(self, entry: _Entry, buffer: List[_Entry]) -> None:
-        bank = self.banks[entry.bank]
-        policy = self.cfg.page_policy
-        if policy == "Open":
-            return
-        same_row_pending = any(
-            e.bank == entry.bank and e.row == entry.row for e in buffer
-        )
-        if policy == "Closed" or (
-            policy == "ClosedAdaptive" and not same_row_pending
-        ) or (
-            policy == "OpenAdaptive" and not same_row_pending
-        ):
-            close_at = bank.ready_at
-            bank.accumulate_open(close_at)
-            bank.open_row = None
+        # page policy: close the row unless Open (or, for the adaptive
+        # policies, unless a pending request still wants it)
+        close = close_always
+        if close_adaptive:
+            for i in buffer:
+                if bank_of[i] == b and row_of[i] == row:
+                    break
+            else:
+                close = True
+        if close:
+            close_at = ready_at[b]
+            span = close_at - opened_since[b]
+            open_time[b] += span if span > 0.0 else 0.0
+            open_row[b] = -1
             # auto-precharge overlaps other banks; only this bank pays tRP
-            bank.ready_at = close_at + self.t.trp
+            ready_at[b] = close_at + trp
 
-    # -- main loop -------------------------------------------------------------------
+    end_time = max(finish)
+    exec_time = max(end_time, 1e-9)
 
-    def execute(self) -> SimResult:
-        requests = list(self.trace.requests)
-        n = len(requests)
-        entries: List[_Entry] = []
-        for i, r in enumerate(requests):
-            bank, row = self.dev.map_address(r.address)
-            entries.append(_Entry(i, r.arrival_ns, r.address, bank, row, r.is_write))
-
-        pending = entries  # sorted by arrival already
-        next_idx = 0
-        buffer: List[_Entry] = []
-        done: List[_Entry] = []
-
-        while next_idx < n or buffer:
-            # admit arrivals up to the request buffer capacity
-            while (
-                next_idx < n
-                and pending[next_idx].arrival <= self.now
-                and len(buffer) < self.cfg.request_buffer_size
-            ):
-                buffer.append(pending[next_idx])
-                next_idx += 1
-
-            if not buffer:
-                # idle: opportunity to pull refreshes in, then jump to the
-                # next arrival
-                next_arrival = pending[next_idx].arrival
-                self._try_pull_in(next_arrival)
-                self.now = max(self.now, next_arrival)
-                continue
-
-            self._refresh_tick(buffer_nonempty=True)
-
-            # in-flight cap: wait for the oldest transaction to retire
-            while len(self.inflight) >= self.cfg.max_active_transactions:
-                self.now = max(self.now, heapq.heappop(self.inflight))
-            while self.inflight and self.inflight[0] <= self.now:
-                heapq.heappop(self.inflight)
-
-            entry = self._select(buffer)
-            buffer.remove(entry)
-            self._service(entry)
-            self._apply_page_policy(entry, buffer)
-            done.append(entry)
-
-        end_time = max(e.finish for e in done)
-        exec_time = max(end_time, 1e-9)
-
-        # response queue: in-order release adds queueing delay
-        latencies = self._release_latencies(done)
-        avg_latency = sum(latencies) / len(latencies)
-
-        # background energy from bank-open residency
-        for bank in self.banks:
-            bank.accumulate_open(end_time)
-        open_frac = min(
-            1.0, sum(b.open_time for b in self.banks) / exec_time
-        )
-        e = self.dev.energy
-        p_bg = e.p_background_idle + (e.p_background_active - e.p_background_idle) * open_frac
-        background_energy = p_bg * exec_time  # W * ns = nJ
-        cmd_energy = self.e_act_total + self.e_rw_total + self.e_refresh_total
-        total_energy = cmd_energy + background_energy
-
-        bytes_moved = n * self.dev.line_bytes
-        return SimResult(
-            avg_latency_ns=avg_latency,
-            power_w=total_energy / exec_time,
-            energy_uj=total_energy / 1e3,
-            exec_time_ns=exec_time,
-            bandwidth_gbps=bytes_moved / exec_time,
-            row_hits=self.row_hits,
-            row_misses=self.row_misses,
-            row_conflicts=self.row_conflicts,
-            refreshes=self.n_refreshes,
-            reads=self.reads,
-            writes=self.writes,
-            energy_breakdown_nj={
-                "activate": self.e_act_total,
-                "read_write": self.e_rw_total,
-                "refresh": self.e_refresh_total,
-                "background": background_energy,
-            },
-        )
-
-    def _release_latencies(self, done: List[_Entry]) -> List[float]:
-        ordered = sorted(done, key=lambda e: e.order)
-        latencies: List[float] = []
-        if self.cfg.resp_queue_policy == "Reorder":
-            for e in ordered:
-                latencies.append(max(0.0, e.finish - e.arrival))
-            return latencies
+    # Sums below run left to right on purpose: builtin sum() of floats is
+    # compensated from Python 3.12 on, and the result must not depend on
+    # the interpreter (tests/data/kernel_golden.json pins it).
+    # response queue: in-order release adds queueing delay
+    latency_total = 0.0
+    if cfg.resp_queue_policy == "Reorder":
+        for i in range(n):
+            latency = finish[i] - arrival[i]
+            latency_total += latency if latency > 0.0 else 0.0
+    else:
         release = 0.0
-        for e in ordered:
-            release = max(release, e.finish)
-            latencies.append(max(0.0, release - e.arrival))
-        return latencies
+        for i in range(n):
+            if finish[i] > release:
+                release = finish[i]
+            latency = release - arrival[i]
+            latency_total += latency if latency > 0.0 else 0.0
+    avg_latency = latency_total / n
+
+    # background energy from bank-open residency
+    open_total = 0.0
+    for b in range(nbanks):
+        if open_row[b] >= 0:
+            span = end_time - opened_since[b]
+            open_time[b] += span if span > 0.0 else 0.0
+        open_total += open_time[b]
+    open_frac = min(1.0, open_total / exec_time)
+    p_bg = energy.p_background_idle + (
+        energy.p_background_active - energy.p_background_idle) * open_frac
+    background_energy = p_bg * exec_time  # W * ns = nJ
+    cmd_energy = e_act_total + e_rw_total + e_refresh_total
+    total_energy = cmd_energy + background_energy
+
+    bytes_moved = n * device.line_bytes
+    return SimResult(
+        avg_latency_ns=avg_latency,
+        power_w=total_energy / exec_time,
+        energy_uj=total_energy / 1e3,
+        exec_time_ns=exec_time,
+        bandwidth_gbps=bytes_moved / exec_time,
+        row_hits=row_hits,
+        row_misses=row_misses,
+        row_conflicts=row_conflicts,
+        refreshes=n_refreshes,
+        reads=reads,
+        writes=writes,
+        energy_breakdown_nj={
+            "activate": e_act_total,
+            "read_write": e_rw_total,
+            "refresh": e_refresh_total,
+            "background": background_energy,
+        },
+    )

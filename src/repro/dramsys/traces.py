@@ -17,6 +17,8 @@ reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
@@ -152,12 +154,20 @@ def generate_trace(name: str, n_requests: int = 2000, seed: int = 0) -> Trace:
         Trace length; the paper's DSE costs are aggregate, so a few
         thousand requests suffice for stable statistics.
     seed:
-        Generator seed; the same (name, n, seed) always yields the same
-        trace.
+        Integer generator seed; the same (name, n, seed) always yields
+        the same trace.
+
+    Generation is pure and :class:`Trace` is immutable, so recent traces
+    are memoized: equal arguments return the same object.
     """
     if name not in _GENERATORS:
         raise SimulationError(f"unknown trace {name!r}; have {sorted(_GENERATORS)}")
     if n_requests < 1:
         raise SimulationError("n_requests must be >= 1")
+    return _generate(name, operator.index(n_requests), operator.index(seed))
+
+
+@functools.lru_cache(maxsize=32)
+def _generate(name: str, n_requests: int, seed: int) -> Trace:
     rng = np.random.default_rng(seed)
     return Trace(name=name, requests=_GENERATORS[name](n_requests, rng))

@@ -16,10 +16,11 @@ logs are merged back into one dataset after the barrier.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -304,6 +305,33 @@ def validate_agent_names(agents: Sequence[str]) -> None:
         )
 
 
+def _factory_env_kwargs(
+    env_factory: EnvFactory, remote: bool
+) -> Optional[Dict[str, Any]]:
+    """The construction kwargs a remote backend forwards to its hosts.
+
+    Remote hosts build their own environment, so a sweep over them must
+    know how the local factory configures it. That is known for a
+    factory exposing ``env_kwargs`` (like ``repro.cli.RegistryEnvFactory``),
+    for a keyword-only ``functools.partial`` of an env class, and for a
+    bare env class (defaults, nothing to forward). Any other factory
+    could hide a non-default workload, so with ``remote`` set it is
+    rejected rather than silently evaluated as the host's default env.
+    """
+    if hasattr(env_factory, "env_kwargs"):
+        return env_factory.env_kwargs
+    if isinstance(env_factory, functools.partial) and not env_factory.args:
+        return dict(env_factory.keywords) or None
+    if isinstance(env_factory, type) or not remote:
+        return None
+    raise ArchGymError(
+        f"cannot tell which environment variant {env_factory!r} builds, so a "
+        "remote host would silently evaluate its default one; pass an env "
+        "class, a keyword-only functools.partial of it, or a factory with an "
+        "env_kwargs attribute (e.g. repro.cli.RegistryEnvFactory)"
+    )
+
+
 def run_lottery_sweep(
     env_factory: EnvFactory,
     agents: Sequence[str],
@@ -514,6 +542,7 @@ def run_lottery_sweep(
         raise ArchGymError("resume=True requires out_dir")
     if shared_cache and out_dir is None and service_url is None:
         raise ArchGymError("shared_cache=True requires out_dir or service_url")
+    env_kwargs = _factory_env_kwargs(env_factory, remote=service_url is not None)
     rng = np.random.default_rng(seed)
     probe = env_factory()
     try:
@@ -525,7 +554,7 @@ def run_lottery_sweep(
         service_url,
         shared_cache,
         out_dir,
-        env_kwargs=getattr(env_factory, "env_kwargs", None),
+        env_kwargs=env_kwargs,
         timeout_s=service_timeout_s,
         retries=service_retries,
         batch=service_batch,

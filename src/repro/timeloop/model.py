@@ -68,40 +68,94 @@ def _pow2_upto(n: int, cap: int = 4096) -> np.ndarray:
     return np.array(vals, dtype=np.int64)
 
 
+@dataclass(frozen=True)
+class _TileGrid:
+    """The architecture-independent part of one layer's mapping search:
+    the candidate tilings and every per-candidate quantity that does not
+    depend on the accelerator config (computed once per layer)."""
+
+    TK: np.ndarray
+    TC: np.ndarray
+    TP: np.ndarray
+    wt: np.ndarray           # weight tile footprint (words)
+    pt: np.ndarray           # psum tile footprint (= spatial work per pass)
+    it: np.ndarray           # input tile footprint
+    halo: np.ndarray         # input refetch factor at P-tile boundaries
+    glb_w: np.ndarray        # weight GLB refills (= DRAM weights when not resident)
+    glb_i: np.ndarray        # input GLB refills before replay
+    window: np.ndarray       # ifmap reuse window per PE
+    w_words: float
+    i_words: float
+    o_words: float
+    macs: float
+
+
+def _tile_grid(layer: ConvLayer) -> _TileGrid:
+    channels = 1 if layer.depthwise else layer.C
+    tk = _pow2_upto(layer.K)
+    tc = _pow2_upto(channels)
+    tp = _pow2_upto(layer.P)
+    TK = np.repeat(tk, len(tc) * len(tp))
+    TC = np.tile(np.repeat(tc, len(tp)), len(tk))
+    TP = np.tile(tp, len(tk) * len(tc))
+
+    R, S, P, Q, stride = layer.R, layer.S, layer.P, layer.Q, layer.stride
+    in_w = (Q - 1) * stride + S
+
+    n_k = np.ceil(layer.K / TK)
+    n_p = np.ceil(P / TP)
+    w_words = float(layer.weight_words)
+    i_words = float(layer.input_words)
+
+    # halo: input rows refetched at P-tile boundaries
+    halo = ((TP - 1) * stride + R) / np.maximum(TP * stride, 1)
+    halo = np.maximum(halo, 1.0)
+    return _TileGrid(
+        TK=TK, TC=TC, TP=TP,
+        wt=TK * TC * R * S,
+        pt=TK * TP * Q,
+        it=TC * ((TP - 1) * stride + R) * in_w,
+        halo=halo,
+        glb_w=w_words * n_p,
+        glb_i=i_words * halo * n_k,
+        window=TC * R * S,
+        w_words=w_words,
+        i_words=i_words,
+        o_words=float(layer.output_words),
+        macs=float(layer.macs),
+    )
+
+
 class TimeloopModel:
-    """Evaluates layers (and whole networks) on accelerator configs."""
+    """Evaluates layers (and whole networks) on accelerator configs.
+
+    The tile grid of each layer is built on first use and kept on the
+    model (keyed by the frozen :class:`ConvLayer`), so a search that
+    revisits a workload pays only the architecture-dependent part.
+    """
 
     def __init__(self, energy: EnergyModel = EnergyModel()):
         self.energy = energy
+        self._grids: Dict[ConvLayer, _TileGrid] = {}
+
+    def _grid(self, layer: ConvLayer) -> _TileGrid:
+        # Threads sharing a model may both build a missing grid; they build
+        # equal, never-mutated arrays, so the race needs no lock.
+        grid = self._grids.get(layer)
+        if grid is None:
+            grid = self._grids[layer] = _tile_grid(layer)
+        return grid
 
     # -- single layer -------------------------------------------------------------
 
     def evaluate_layer(self, arch: AcceleratorConfig, layer: ConvLayer) -> LayerCost:
         """Map and cost one layer; returns the best feasible mapping."""
-        channels = 1 if layer.depthwise else layer.C
-        tk = _pow2_upto(layer.K)
-        tc = _pow2_upto(channels)
-        tp = _pow2_upto(layer.P)
-        TK, TC, TP = (a.reshape(-1) for a in np.meshgrid(tk, tc, tp, indexing="ij"))
-        TK, TC, TP = (
-            np.repeat(tk, len(tc) * len(tp)),
-            np.tile(np.repeat(tc, len(tp)), len(tk)),
-            np.tile(tp, len(tk) * len(tc)),
-        )
-
-        R, S, P, Q, stride = layer.R, layer.S, layer.P, layer.Q, layer.stride
-        in_w = (Q - 1) * stride + S
-        macs = float(layer.macs)
-
-        # tile footprints (words)
-        wt = TK * TC * R * S
-        pt = TK * TP * Q
-        it = TC * ((TP - 1) * stride + R) * in_w
-
+        g = self._grid(layer)
+        glb_words = arch.glb_words
         feasible = (
-            (wt <= arch.weight_l1_words)
-            & (pt <= arch.psum_l1_words)
-            & (wt + pt + np.minimum(it, arch.glb_words) <= arch.glb_words)
+            (g.wt <= arch.weight_l1_words)
+            & (g.pt <= arch.psum_l1_words)
+            & (g.wt + g.pt + np.minimum(g.it, glb_words) <= glb_words)
         )
         if not feasible.any():
             return LayerCost(
@@ -115,35 +169,26 @@ class TimeloopModel:
                 utilization=0.0,
             )
 
-        n_k = np.ceil(layer.K / TK)
-        n_c = np.ceil(channels / TC)
-        n_p = np.ceil(P / TP)
-
-        w_words = float(layer.weight_words)
-        i_words = float(layer.input_words)
-        o_words = float(layer.output_words)
-
-        # halo: input rows refetched at P-tile boundaries
-        halo = ((TP - 1) * stride + R) / np.maximum(TP * stride, 1)
-        halo = np.maximum(halo, 1.0)
+        macs = g.macs
+        w_words, i_words, o_words = g.w_words, g.i_words, g.o_words
 
         # DRAM traffic
-        w_resident = w_words <= 0.5 * arch.glb_words
-        dram_w = np.where(w_resident, w_words, w_words * n_p)
-        i_resident = i_words <= 0.5 * arch.glb_words
-        dram_i = np.where(i_resident, i_words * halo, i_words * halo * n_k)
+        w_resident = w_words <= 0.5 * glb_words
+        dram_w = np.where(w_resident, w_words, g.glb_w)
+        i_resident = i_words <= 0.5 * glb_words
+        dram_i = np.where(i_resident, i_words * g.halo, g.glb_i)
         dram_o = o_words
         dram = dram_w + dram_i + dram_o
 
-        # GLB traffic: spad refills + psum write-through
-        glb_w = w_words * n_p
-        glb_i = i_words * halo * n_k
+        # GLB traffic: spad refills + psum write-through;
         # input replay when the ifmap spad cannot hold the reuse window
-        window = TC * R * S
-        replay = np.clip(np.ceil(window / max(arch.ifmap_l1_words / arch.num_pes, 1.0)), 1, R * S)
-        glb_i = glb_i * replay
+        R, S = layer.R, layer.S
+        replay = np.clip(
+            np.ceil(g.window / max(arch.ifmap_l1_words / arch.num_pes, 1.0)), 1, R * S
+        )
+        glb_i = g.glb_i * replay
         glb_o = o_words
-        glb = glb_w + glb_i + glb_o
+        glb = g.glb_w + glb_i + glb_o
 
         # spad traffic: two operand reads + one psum update per MAC
         spad = 3.0 * macs
@@ -151,7 +196,7 @@ class TimeloopModel:
         noc = glb
 
         # cycles: spatial work per pass bounds PE utilization
-        spatial = np.minimum(TK * TP * Q, arch.num_pes)
+        spatial = np.minimum(g.pt, arch.num_pes)
         util = spatial / arch.num_pes
         compute_cycles = macs / np.maximum(spatial, 1)
         dram_cycles = dram / arch.dram_bw
@@ -176,9 +221,9 @@ class TimeloopModel:
             dram_words=float(dram[best]),
             glb_words=float(glb[best]),
             utilization=float(util[best]),
-            tile_k=int(TK[best]),
-            tile_c=int(TC[best]),
-            tile_p=int(TP[best]),
+            tile_k=int(g.TK[best]),
+            tile_c=int(g.TC[best]),
+            tile_p=int(g.TP[best]),
         )
 
     # -- whole network --------------------------------------------------------------

@@ -806,3 +806,38 @@ class TestFaultInjection:
             assert elapsed < 30.0, f"sweep hung {elapsed:.1f}s after server death"
         finally:
             svc.stop()
+
+
+class TestRemoteFactoryKwargs:
+    """A remote sweep must build the *same* env variant on the host as
+    the local factory does, or refuse — never evaluate the host's
+    default env in its place."""
+
+    KW = dict(agents=("rw",), n_trials=2, n_samples=10, seed=4, cache=False)
+
+    def test_keyword_partial_forwards_its_kwargs(self, service):
+        import functools
+
+        factory = functools.partial(SvcCountingEnv, scale=3.0)
+        local = run_lottery_sweep(factory, **self.KW)
+        remote = run_lottery_sweep(factory, service_url=service.url, **self.KW)
+        assert remote.remote_evals > 0
+        assert _normalized_records(local) == _normalized_records(remote)
+        # the scaled variant really differs from the host's default env
+        default = run_lottery_sweep(SvcCountingEnv, **self.KW)
+        assert _normalized_records(default) != _normalized_records(local)
+
+    @pytest.mark.parametrize("kind", ["lambda", "positional-partial"])
+    def test_opaque_factory_rejected_when_remote(self, service, kind):
+        import functools
+
+        from repro.core.errors import ArchGymError
+
+        factory = (
+            (lambda: SvcCountingEnv(scale=3.0)) if kind == "lambda"
+            else functools.partial(SvcCountingEnv, 3.0)
+        )
+        with pytest.raises(ArchGymError, match="default"):
+            run_lottery_sweep(factory, service_url=service.url, **self.KW)
+        # in-process sweeps need no kwargs and keep accepting it
+        assert run_lottery_sweep(factory, **self.KW).results["rw"]
