@@ -1,9 +1,9 @@
 """async-discipline: no blocking calls inside coroutine bodies.
 
-One event loop drives a whole host pool's fan-out
-(``--async-dispatch``), so a single blocking call inside a coroutine
-stalls every in-flight request the loop holds — the failure is silent,
-just a pool that mysteriously serializes. Inside any ``async def``
+One event loop drives all of a host pool's requests, so a single
+blocking call inside a coroutine stalls every in-flight request the
+loop holds — the failure is silent, just a pool that mysteriously
+serializes. Inside any ``async def``
 under ``src/repro`` this checker flags:
 
 - ``time.sleep(...)`` — blocks the loop thread; coroutines back off
@@ -16,9 +16,9 @@ under ``src/repro`` this checker flags:
   (``evaluate``, ``evaluate_batch``, ``healthz``, ``cache_*``) called
   on a sync client: a local name bound from ``ServiceClient(...)`` or
   an attribute path ending in ``.client`` / ``.probe_client`` (the
-  pool's sync transports). The async siblings ``.aio_client`` /
-  ``.aio_probe`` answer to the same method names and are exempt by
-  construction.
+  usual spellings of a sync client held as an attribute). The async
+  siblings ``.aio_client`` / ``.aio_probe`` answer to the same method
+  names and are exempt by construction.
 
 Nested ``def``s inside a coroutine are skipped (they are values, not
 loop-thread code until someone calls them); nested ``async def``s are
@@ -47,9 +47,9 @@ BLOCKING_METHODS = {
     "cache_list",
 }
 
-#: Attribute spellings that denote a sync :class:`ServiceClient` in the
-#: pool's idiom (``host.client`` / ``host.probe_client`` / bare
-#: ``client = ServiceClient(...)`` locals are collected separately).
+#: Attribute spellings taken to denote a sync :class:`ServiceClient`
+#: (bare ``client = ServiceClient(...)`` locals are collected
+#: separately).
 SYNC_CLIENT_ATTRS = {"client", "probe_client"}
 
 

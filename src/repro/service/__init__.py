@@ -8,7 +8,8 @@ points per round trip, memoized server-side into the cache store),
 Client side: :class:`ServiceClient` (persistent keep-alive
 connections, retry/timeout policy), its coroutine sibling
 :class:`AsyncServiceClient` (one event loop holds a whole fleet's
-requests in flight — the ``--async-dispatch`` transport),
+requests in flight — the transport of every
+:class:`repro.sweeps.HostPool`),
 :class:`RemoteBackend` (adapts a
 client — or a :class:`repro.sweeps.HostPool` — to ``ArchGymEnv``'s
 ``evaluate`` / ``evaluate_batch`` / ``evaluate_batch_stream`` backend

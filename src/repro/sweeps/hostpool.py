@@ -26,10 +26,10 @@ simulator's speed; :class:`HostPool` points a sweep at N of them:
   arrival order, not request order — and when the queue runs dry an
   idle host *steals* a straggler's in-flight unit by re-dispatching
   a duplicate request. Evaluations are deterministic and idempotent,
-  so the first completion wins and late duplicates are discarded by
-  unit id; no unit is ever recorded twice. The stream finishes as
-  soon as every *result* is known — abandoned straggler requests may
-  still be in flight, which is exactly what lets a pipelined driver
+  so the first completion wins and the losing duplicates are
+  cancelled; no unit is ever recorded twice. The stream finishes as
+  soon as every *result* is known — it never waits for a straggler's
+  abandoned request, which is exactly what lets a pipelined driver
   start the next generation on the idle hosts meanwhile.
 - **Health and failover.** A host whose transport fails (connection
   refused/reset, timeout, torn body — after the client's own retry
@@ -48,21 +48,16 @@ Server-produced errors (HTTP 4xx/5xx bodies — unknown env, cost-model
 crash) are **not** failover events: they are deterministic and would
 fail identically on every host, so they propagate immediately.
 
-- **Async dispatch.** With ``async_dispatch=True`` the scatter and
-  stream paths run as coroutine tasks on one event loop owned by a
-  single daemon runner thread: per-host worker *coroutines* replace
-  worker threads (an :class:`asyncio.Semaphore` per host keeps the
-  one-request-per-host discipline), a stolen unit's straggler
-  duplicate is *cancelled* outright once the winner lands, and
-  quarantine/revival/backfill/auto-weights run as coroutines over
-  :class:`~repro.service.aio.AsyncServiceClient` probes. The sync
-  driver API above is unchanged and results, per-host provenance, and
-  counters are byte-identical to threaded dispatch — it is purely a
-  thread-count/wall-clock knob, the step from tens of hosts to
-  hundreds.
+Every request the pool sends is a coroutine task on one event loop,
+run by a single daemon thread the pool owns, over
+:class:`~repro.service.aio.AsyncServiceClient` transports: chunks,
+work units, probes and backfills alike. An
+:class:`asyncio.Semaphore` per host keeps one evaluation per host in
+flight, and a pool of any size costs one OS thread. The driver-facing
+API stays synchronous; each call blocks on its coroutine's result.
 
-The pool quacks like :class:`~repro.service.client.ServiceClient` for
-``evaluate``/``evaluate_batch``, so
+The pool answers the single-host client's ``evaluate``/
+``evaluate_batch`` calls, so
 :class:`~repro.service.remote.RemoteBackend` can carry either without
 knowing which it holds.
 """
@@ -74,12 +69,12 @@ import math
 import queue
 import threading
 import time
+import weakref
 from collections import deque
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ServiceError, ServiceTransportError
 from repro.service.aio import AsyncServiceClient
-from repro.service.client import ServiceClient
 
 __all__ = ["HostPool", "weighted_split"]
 
@@ -127,26 +122,57 @@ def weighted_split(n: int, weights: Sequence[float]) -> List[int]:
     return counts
 
 
+class _LoopThread(threading.Thread):
+    """The daemon thread that runs a pool's dispatch event loop."""
+
+    def __init__(self, pool: "HostPool") -> None:
+        super().__init__(name="hostpool-aio", daemon=True)
+        self.loop = asyncio.new_event_loop()
+        #: Stops the loop and joins the thread, at most once: called by
+        #: :meth:`HostPool.close`, or when ``pool`` is garbage collected
+        #: unclosed, so a dropped pool does not leak its thread and the
+        #: sockets its loop holds. Keeps no reference to ``pool``.
+        self.stop = weakref.finalize(pool, _stop_loop, self.loop, self)
+
+    def run(self) -> None:
+        self.loop.run_forever()
+
+
+def _stop_loop(loop: asyncio.AbstractEventLoop, thread: threading.Thread) -> None:
+    loop.call_soon_threadsafe(loop.stop)
+    if thread is threading.current_thread():
+        return  # collected on the loop thread: it stops after this callback
+    thread.join(timeout=5)
+    try:
+        loop.close()
+    except RuntimeError:
+        pass
+
+
 class _Host:
     """One evaluation service inside the pool."""
 
     __slots__ = (
-        "url", "client", "probe_client", "weight", "alive", "inflight",
-        "evals", "last_error", "quarantined_at", "auto_weight",
+        "url", "aio_client", "aio_probe", "aio_sem", "weight", "alive",
+        "inflight", "evals", "last_error", "quarantined_at", "auto_weight",
         "rate_ewma", "seen_evals", "seen_busy_s",
-        "aio_client", "aio_probe", "aio_sem",
     )
 
     def __init__(
-        self, url: str, client: ServiceClient, probe_client: ServiceClient,
+        self, client: AsyncServiceClient, probe: AsyncServiceClient,
         weight: float = 1.0,
     ) -> None:
         self.url = client.base_url
-        self.client = client
+        self.aio_client = client
         #: Short-timeout, zero-retry client for healthz re-probes of a
-        #: quarantined host — a probe of a still-dead host must cost
-        #: seconds, not the full evaluation timeout × retries.
-        self.probe_client = probe_client
+        #: quarantined host (and for backfill and auto-weight polls) —
+        #: a probe of a still-dead host must cost seconds, not the full
+        #: evaluation timeout × retries.
+        self.aio_probe = probe
+        #: One-request-at-a-time semaphore, created lazily *on* the
+        #: runner loop (3.9 binds the loop at construction) and reset
+        #: by :meth:`HostPool.close`.
+        self.aio_sem: Optional[asyncio.Semaphore] = None
         #: Relative capacity: a weight-2 host takes twice the
         #: concurrent load (least-load compares inflight/weight) and
         #: twice the share of a scattered generation.
@@ -166,15 +192,6 @@ class _Host:
         # healthz counter baselines for per-window rate deltas
         self.seen_evals = 0
         self.seen_busy_s = 0.0
-        #: Async-dispatch transports (populated when the owning pool
-        #: runs with ``async_dispatch=True``): the evaluation client,
-        #: the short-timeout zero-retry probe, and the per-host
-        #: semaphore that keeps the one-request-at-a-time discipline a
-        #: worker thread used to provide. The semaphore is created
-        #: lazily *on* the runner loop (3.9 binds it at construction).
-        self.aio_client: Optional[AsyncServiceClient] = None
-        self.aio_probe: Optional[AsyncServiceClient] = None
-        self.aio_sem: Optional[asyncio.Semaphore] = None
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else f"quarantined ({self.last_error})"
@@ -201,8 +218,9 @@ class HostPool:
         Weights must be positive and finite; duplicate URLs must agree
         on their weight.
     timeout_s, retries, backoff_s:
-        Per-host :class:`ServiceClient` policy — each host gets its own
-        client (and with it its own keep-alive connections).
+        Per-host :class:`~repro.service.aio.AsyncServiceClient` policy —
+        each host gets its own client (and with it its own keep-alive
+        connections).
     revive_after_s:
         How long a quarantined host rests before the pool re-probes
         its ``/healthz`` (with a short-timeout, zero-retry probe) and
@@ -230,23 +248,11 @@ class HostPool:
     auto_weights_interval_s:
         Seconds between auto-weight refreshes (``0`` refreshes on
         every dispatch — useful in tests and microbenchmarks).
-    async_dispatch:
-        Run :meth:`evaluate_batch_scatter` and
-        :meth:`evaluate_batch_stream` as coroutine tasks on one event
-        loop (owned by a single daemon runner thread) instead of
-        spawning a worker thread per chunk/host: per-host worker
-        coroutines with an :class:`asyncio.Semaphore` apiece, work
-        stealing that *cancels* the straggler's duplicate task once
-        the winner lands, and revival/backfill/auto-weights refresh as
-        coroutines over async probes. A pure thread-count/wall-clock
-        knob: the sync API, results, per-host provenance, and all
-        counters are byte-identical to threaded dispatch, but a
-        32-host pool costs one OS thread instead of one per host —
-        the scaling step toward pools of hundreds of hosts.
 
-    Thread-safe: the parallel executor may drive one pool from many
-    threads; host selection and in-flight accounting sit under one
-    lock, while the HTTP calls themselves run outside it.
+    Thread-safe: many threads may drive one pool; their calls all run
+    on the pool's one event loop. Host selection and in-flight
+    accounting sit under one lock, which is never held across an
+    await.
     """
 
     def __init__(
@@ -259,7 +265,6 @@ class HostPool:
         weights: Optional[Sequence[float]] = None,
         auto_weights: bool = False,
         auto_weights_interval_s: float = 5.0,
-        async_dispatch: bool = False,
     ) -> None:
         if isinstance(urls, str):  # a lone URL is a 1-host pool
             urls = (urls,)
@@ -286,7 +291,7 @@ class HostPool:
         self._hosts: List[_Host] = []
         seen: Dict[str, float] = {}
         for url, weight in zip(urls, weights):
-            client = ServiceClient(
+            client = AsyncServiceClient(
                 url, timeout_s=timeout_s, retries=retries, backoff_s=backoff_s,
             )
             if client.base_url in seen:
@@ -297,11 +302,11 @@ class HostPool:
                     )
                 continue
             seen[client.base_url] = float(weight)
-            probe = ServiceClient(
+            probe = AsyncServiceClient(
                 url, timeout_s=min(timeout_s, 2.0), retries=0,
                 backoff_s=backoff_s,
             )
-            self._hosts.append(_Host(url, client, probe, weight=float(weight)))
+            self._hosts.append(_Host(client, probe, weight=float(weight)))
         self.revive_after_s = revive_after_s
         if auto_weights_interval_s < 0:
             raise ServiceError(
@@ -327,22 +332,10 @@ class HostPool:
         #: Cache entries copied into revived hosts by the
         #: anti-entropy backfill.
         self.cache_backfills = 0
-        self.async_dispatch = bool(async_dispatch)
-        if self.async_dispatch:
-            for host in self._hosts:
-                host.aio_client = AsyncServiceClient(
-                    host.url, timeout_s=timeout_s, retries=retries,
-                    backoff_s=backoff_s,
-                )
-                host.aio_probe = AsyncServiceClient(
-                    host.url, timeout_s=min(timeout_s, 2.0), retries=0,
-                    backoff_s=backoff_s,
-                )
-        #: The dispatch event loop and its single daemon runner thread
-        #: (created lazily on first async dispatch; recreated after
-        #: :meth:`close`). Mutated under ``_lock``.
-        self._aio_loop: Optional[asyncio.AbstractEventLoop] = None
-        self._aio_thread: Optional[threading.Thread] = None
+        #: The dispatch event loop's runner thread (created lazily on
+        #: first dispatch; recreated after :meth:`close`). Mutated
+        #: under ``_lock``.
+        self._runner: Optional[_LoopThread] = None
 
     # -- introspection ------------------------------------------------------------
 
@@ -397,23 +390,29 @@ class HostPool:
         (``None`` for non-responders, which are quarantined). Raises
         :class:`ServiceError` only if *no* host answers — a pool with
         any survivor can still run the sweep."""
+        report = self._run_on_loop(self._check_health_async())
+        if not any(v is not None for v in report.values()):
+            raise ServiceError(
+                f"no evaluation host is healthy: {self._error_inventory()}"
+            )
+        return report
+
+    async def _check_health_async(self) -> Dict[str, Optional[Dict[str, Any]]]:
+        """Probe each host in order; a quarantined host that answers is
+        backfilled before it rejoins."""
         report: Dict[str, Optional[Dict[str, Any]]] = {}
         for host in self._hosts:
             with self._lock:
                 was_dead = not host.alive
             try:
-                report[host.url] = host.client.healthz()
+                report[host.url] = await host.aio_client.healthz()
             except ServiceError as exc:
                 report[host.url] = None
                 self._mark(host, alive=False, error=str(exc))
                 continue
             if was_dead:
-                self._backfill_cache(host)
+                await self._backfill_cache_async(host)
             self._mark(host, alive=True)
-        if not any(v is not None for v in report.values()):
-            raise ServiceError(
-                f"no evaluation host is healthy: {self._error_inventory()}"
-            )
         return report
 
     def _mark(self, host: _Host, alive: bool, error: Optional[str] = None) -> None:
@@ -427,9 +426,7 @@ class HostPool:
         """Atomically check-and-claim one revival probe slot: True when
         ``host`` is quarantined and its rest period has elapsed. The
         claim restarts its clock, so concurrent dispatchers — and a
-        failed probe — cannot double-probe within one window. Shared by
-        the threaded and async revival paths so their policy cannot
-        drift."""
+        failed probe — cannot double-probe within one window."""
         with self._lock:
             due = (
                 not host.alive
@@ -439,7 +436,7 @@ class HostPool:
                 host.quarantined_at = now  # claim this probe slot
         return due
 
-    def _timed_revival(self) -> None:
+    async def _timed_revival_async(self) -> None:
         """Re-probe quarantined hosts whose rest period has elapsed.
 
         One short healthz per due host per ``revive_after_s`` window —
@@ -454,10 +451,10 @@ class HostPool:
             if not self._claim_revival_probe(host, now):
                 continue
             try:
-                host.probe_client.healthz()
+                await host.aio_probe.healthz()
             except ServiceError:
                 continue
-            self._backfill_cache(host)
+            await self._backfill_cache_async(host)
             self._mark(host, alive=True)
 
     def _error_inventory(self) -> str:
@@ -466,7 +463,7 @@ class HostPool:
                 f"{h.url}: {h.last_error or 'ok'}" for h in self._hosts
             )
 
-    def _revive_sweep(self) -> int:
+    async def _revive_sweep_async(self) -> int:
         """All hosts are quarantined: healthz-probe each one and revive
         the responders. Returns how many came back."""
         revived = 0
@@ -476,15 +473,15 @@ class HostPool:
             if not dead:
                 continue
             try:
-                host.probe_client.healthz()
+                await host.aio_probe.healthz()
             except ServiceError:
                 continue
-            self._backfill_cache(host)
+            await self._backfill_cache_async(host)
             self._mark(host, alive=True)
             revived += 1
         return revived
 
-    def _backfill_cache(self, revived: _Host) -> None:
+    async def _backfill_cache_async(self, revived: _Host) -> None:
         """Anti-entropy: page a living replica's cache into ``revived``.
 
         A host that restarted rejoins with an empty in-memory cache;
@@ -503,11 +500,11 @@ class HostPool:
             offset = 0
             try:
                 while True:
-                    entries, total = donor.probe_client.cache_list(
+                    entries, total = await donor.aio_probe.cache_list(
                         offset=offset, limit=_BACKFILL_PAGE
                     )
                     for key_str, metrics in entries:
-                        revived.probe_client.cache_put(key_str, metrics)
+                        await revived.aio_probe.cache_put(key_str, metrics)
                         copied += 1
                     offset += len(entries)
                     if not entries or offset >= total:
@@ -520,7 +517,7 @@ class HostPool:
                 self.cache_backfills += copied
             return
 
-    def _refresh_auto_weights(self) -> None:
+    async def _refresh_auto_weights_async(self) -> None:
         """Blend observed service rates into the dispatch weights.
 
         Reads each living host's ``/healthz`` counters through the
@@ -541,7 +538,7 @@ class HostPool:
             living = [h for h in self._hosts if h.alive]
         for host in living:
             try:
-                health = host.probe_client.healthz()
+                health = await host.aio_probe.healthz()
             except ServiceError:
                 continue  # quarantining is the dispatch path's call
             self._note_rate_sample(
@@ -553,7 +550,7 @@ class HostPool:
 
     def _claim_refresh_slot(self) -> bool:
         """Atomically claim the next auto-weights refresh window (one
-        refresher per ``auto_weights_interval_s``, threaded or async)."""
+        refresher per ``auto_weights_interval_s``)."""
         now = time.monotonic()
         with self._lock:
             if now - self._weights_refreshed_at < self.auto_weights_interval_s:
@@ -608,23 +605,18 @@ class HostPool:
                     )
             self.auto_weight_updates += 1
 
-    # -- async dispatch core --------------------------------------------------------
+    # -- the event loop -----------------------------------------------------------
 
     def _ensure_loop(self) -> asyncio.AbstractEventLoop:
         """The pool's dispatch event loop, created (with its single
         daemon runner thread) on first use and after :meth:`close`."""
         with self._lock:
-            loop = self._aio_loop
-            if loop is not None:
-                return loop
-            loop = asyncio.new_event_loop()
-            thread = threading.Thread(
-                target=loop.run_forever, name="hostpool-aio", daemon=True
-            )
-            self._aio_loop = loop
-            self._aio_thread = thread
-        thread.start()
-        return loop
+            runner = self._runner
+            if runner is not None:
+                return runner.loop
+            runner = self._runner = _LoopThread(self)
+        runner.start()
+        return runner.loop
 
     def _run_on_loop(self, coro: Any) -> Any:
         """Run one coroutine to completion on the dispatch loop from a
@@ -633,10 +625,9 @@ class HostPool:
         return asyncio.run_coroutine_threadsafe(coro, self._ensure_loop()).result()
 
     def _host_sem(self, host: _Host) -> asyncio.Semaphore:
-        """``host``'s one-request-at-a-time semaphore — the async
-        stand-in for the one worker thread a host used to get. Created
-        lazily *on* the running loop (3.9 binds the loop at
-        construction) and reset by :meth:`close`."""
+        """``host``'s one-request-at-a-time semaphore, created lazily
+        *on* the running loop (3.9 binds the loop at construction) and
+        reset by :meth:`close`."""
         sem = host.aio_sem
         if sem is None:
             sem = asyncio.Semaphore(1)
@@ -644,166 +635,20 @@ class HostPool:
         return sem
 
     async def _aclose_clients(self) -> None:
-        """Park-and-close every async transport's pooled connections."""
+        """Park-and-close every transport's pooled connections."""
         for host in self._hosts:
-            if host.aio_client is not None:
-                await host.aio_client.close()
-            if host.aio_probe is not None:
-                await host.aio_probe.close()
-
-    async def _timed_revival_async(self) -> None:
-        """Coroutine twin of :meth:`_timed_revival`: same claim policy
-        (shared via :meth:`_claim_revival_probe`), probing over the
-        async transport so a due probe never blocks the loop."""
-        if self.revive_after_s is None:
-            return
-        now = time.monotonic()
-        for host in self._hosts:
-            if not self._claim_revival_probe(host, now):
-                continue
-            try:
-                await host.aio_probe.healthz()
-            except ServiceError:
-                continue
-            await self._backfill_cache_async(host)
-            self._mark(host, alive=True)
-
-    async def _revive_sweep_async(self) -> int:
-        """Coroutine twin of :meth:`_revive_sweep`."""
-        revived = 0
-        for host in self._hosts:
-            with self._lock:
-                dead = not host.alive
-            if not dead:
-                continue
-            try:
-                await host.aio_probe.healthz()
-            except ServiceError:
-                continue
-            await self._backfill_cache_async(host)
-            self._mark(host, alive=True)
-            revived += 1
-        return revived
-
-    async def _backfill_cache_async(self, revived: _Host) -> None:
-        """Coroutine twin of :meth:`_backfill_cache`: same donor walk,
-        paging, partial-copy-kept semantics, and ``cache_backfills``
-        accounting, over the async probes."""
-        with self._lock:
-            donors = [h for h in self._hosts if h.alive and h is not revived]
-        for donor in donors:
-            copied = 0
-            offset = 0
-            try:
-                while True:
-                    entries, total = await donor.aio_probe.cache_list(
-                        offset=offset, limit=_BACKFILL_PAGE
-                    )
-                    for key_str, metrics in entries:
-                        await revived.aio_probe.cache_put(key_str, metrics)
-                        copied += 1
-                    offset += len(entries)
-                    if not entries or offset >= total:
-                        break
-            except ServiceError:
-                with self._lock:
-                    self.cache_backfills += copied
-                continue  # partial copy kept; try the next donor
-            with self._lock:
-                self.cache_backfills += copied
-            return
-
-    async def _refresh_auto_weights_async(self) -> None:
-        """Coroutine twin of :meth:`_refresh_auto_weights`: identical
-        claim/sample/apply policy via the shared helpers, polling the
-        async probes."""
-        if not self.auto_weights:
-            return
-        if not self._claim_refresh_slot():
-            return
-        with self._lock:
-            living = [h for h in self._hosts if h.alive]
-        for host in living:
-            try:
-                health = await host.aio_probe.healthz()
-            except ServiceError:
-                continue  # quarantining is the dispatch path's call
-            self._note_rate_sample(
-                host,
-                int(health.get("evaluations", 0)),
-                float(health.get("busy_s", 0.0)),
-            )
-        self._apply_auto_weights()
-
-    async def _try_host_async(
-        self, host: _Host, op: str, n_evals: int, *args: Any, **kwargs: Any
-    ) -> Any:
-        """Coroutine twin of :meth:`_try_host`: one attempt pinned to
-        ``host`` under its semaphore, quarantine-and-reraise on
-        transport death."""
-        with self._lock:
-            host.inflight += 1
-        ok = False
-        try:
-            async with self._host_sem(host):
-                result = await getattr(host.aio_client, op)(*args, **kwargs)
-            ok = True
-            return result
-        except ServiceTransportError as exc:
-            self._mark(host, alive=False, error=str(exc))
-            raise
-        finally:
-            self._release(host, n_evals, ok)
-
-    async def _call_async(
-        self, op: str, n_evals: int, *args: Any, **kwargs: Any
-    ) -> Tuple[Any, str]:
-        """Coroutine twin of :meth:`_call` — same least-load failover
-        loop and at most one all-dead revival sweep — except that it
-        *returns* ``(result, host_url)`` instead of stamping the
-        calling thread's ``last_host`` (tasks share one loop thread, so
-        a thread-local cannot carry per-chunk provenance here)."""
-        await self._timed_revival_async()
-        await self._refresh_auto_weights_async()
-        revived_once = False
-        while True:
-            host = self._acquire()
-            if host is None:
-                if not revived_once and await self._revive_sweep_async():
-                    revived_once = True
-                    continue
-                raise ServiceTransportError(
-                    f"all {len(self._hosts)} evaluation host(s) failed: "
-                    f"{self._error_inventory()}"
-                )
-            ok = False
-            try:
-                async with self._host_sem(host):
-                    result = await getattr(host.aio_client, op)(*args, **kwargs)
-                ok = True
-            except ServiceTransportError as exc:
-                self._mark(host, alive=False, error=str(exc))
-                continue
-            finally:
-                self._release(host, n_evals, ok)
-            return result, host.url
-
-    async def _unit_eval(
-        self,
-        host: _Host,
-        env: str,
-        sub: List[Dict[str, Any]],
-        env_kwargs: Optional[Dict[str, Any]],
-        memoize: bool,
-    ) -> List[Dict[str, float]]:
-        """One streaming work unit on ``host`` — the cancellable inner
-        task work stealing aborts when another host wins the unit."""
-        async with self._host_sem(host):
-            return await host.aio_client.evaluate_batch(
-                env, sub, env_kwargs=env_kwargs, memoize=memoize,
-            )
+            await host.aio_client.close()
+            await host.aio_probe.close()
 
     # -- dispatch -----------------------------------------------------------------
+
+    async def _prepare_dispatch(self) -> List[_Host]:
+        """The prologue of every dispatch: timed revival, then an
+        auto-weights refresh; returns the hosts alive afterwards."""
+        await self._timed_revival_async()
+        await self._refresh_auto_weights_async()
+        with self._lock:
+            return [h for h in self._hosts if h.alive]
 
     def _acquire(self) -> Optional[_Host]:
         """Least-loaded living host (in-flight count bumped), or None.
@@ -838,16 +683,42 @@ class HostPool:
             if ok:
                 host.evals += n_evals
 
-    def _call(self, op: str, n_evals: int, *args: Any, **kwargs: Any) -> Any:
+    async def _try_host_async(
+        self, host: _Host, op: str, n_evals: int, *args: Any, **kwargs: Any
+    ) -> Any:
+        """One attempt pinned to ``host`` (in-flight accounted).
+
+        Transport death quarantines the host and re-raises so the
+        caller can fail the work over; server-produced errors
+        propagate untouched, like :meth:`_call_async`.
+        """
+        with self._lock:
+            host.inflight += 1
+        ok = False
+        try:
+            async with self._host_sem(host):
+                result = await getattr(host.aio_client, op)(*args, **kwargs)
+            ok = True
+            return result
+        except ServiceTransportError as exc:
+            self._mark(host, alive=False, error=str(exc))
+            raise
+        finally:
+            self._release(host, n_evals, ok)
+
+    async def _call_async(
+        self, op: str, n_evals: int, *args: Any, **kwargs: Any
+    ) -> Tuple[Any, str]:
         """Run ``op`` on the least-loaded host, failing over on
-        transport death; at most one all-dead revival sweep per call."""
-        self._timed_revival()
-        self._refresh_auto_weights()
+        transport death; at most one all-dead revival sweep per call.
+        Returns ``(result, host_url)``: tasks share one loop thread, so
+        a thread-local cannot carry their provenance."""
+        await self._prepare_dispatch()
         revived_once = False
         while True:
             host = self._acquire()
             if host is None:
-                if not revived_once and self._revive_sweep():
+                if not revived_once and await self._revive_sweep_async():
                     revived_once = True
                     continue
                 raise ServiceTransportError(
@@ -856,7 +727,8 @@ class HostPool:
                 )
             ok = False
             try:
-                result = getattr(host.client, op)(*args, **kwargs)
+                async with self._host_sem(host):
+                    result = await getattr(host.aio_client, op)(*args, **kwargs)
                 ok = True
             except ServiceTransportError as exc:
                 # The host is unreachable (after the client's own
@@ -866,10 +738,18 @@ class HostPool:
                 continue
             finally:
                 self._release(host, n_evals, ok)
-            self._local.last_host = host.url
-            return result
+            return result, host.url
 
-    # -- the ServiceClient surface RemoteBackend uses -----------------------------
+    def _call(self, op: str, n_evals: int, *args: Any, **kwargs: Any) -> Any:
+        """:meth:`_call_async` from a sync caller, which stamps the
+        calling thread's :attr:`last_host`."""
+        result, url = self._run_on_loop(
+            self._call_async(op, n_evals, *args, **kwargs)
+        )
+        self._local.last_host = url
+        return result
+
+    # -- the client surface RemoteBackend uses -----------------------------------
 
     def evaluate(
         self,
@@ -892,28 +772,6 @@ class HostPool:
             "evaluate_batch", len(actions), env, actions,
             env_kwargs=env_kwargs, memoize=memoize,
         )
-
-    def _try_host(
-        self, host: _Host, op: str, n_evals: int, *args: Any, **kwargs: Any
-    ) -> Any:
-        """One attempt pinned to ``host`` (in-flight accounted).
-
-        Transport death quarantines the host and re-raises so the
-        caller can fail the work over; server-produced errors
-        propagate untouched, like :meth:`_call`.
-        """
-        with self._lock:
-            host.inflight += 1
-        ok = False
-        try:
-            result = getattr(host.client, op)(*args, **kwargs)
-            ok = True
-            return result
-        except ServiceTransportError as exc:
-            self._mark(host, alive=False, error=str(exc))
-            raise
-        finally:
-            self._release(host, n_evals, ok)
 
     def evaluate_batch_scatter(
         self,
@@ -944,92 +802,9 @@ class HostPool:
         actions = list(actions)
         if not actions:
             return [], []
-        if self.async_dispatch:
-            out = self._run_on_loop(
-                self._scatter_async(env, actions, env_kwargs, memoize)
-            )
-            if out is None:
-                # Single-chunk batch: delegate exactly like the
-                # threaded path so tiny batches keep least-load
-                # placement (and the thread-local provenance stamp).
-                metrics = self._call(
-                    "evaluate_batch", len(actions), env, actions,
-                    env_kwargs=env_kwargs, memoize=memoize,
-                )
-                return metrics, [self.last_host] * len(actions)
-            metrics, hosts = out
-            self._local.last_host = hosts[-1]
-            return metrics, hosts
-        self._timed_revival()
-        self._refresh_auto_weights()
-        with self._lock:
-            alive = [h for h in self._hosts if h.alive]
-        if len(alive) > 1:
-            counts = weighted_split(
-                len(actions), [h.auto_weight for h in alive]
-            )
-            chunks: List[Tuple[_Host, List[Dict[str, Any]]]] = []
-            cursor = 0
-            for host, count in zip(alive, counts):
-                if count:
-                    chunks.append((host, actions[cursor:cursor + count]))
-                    cursor += count
-        else:
-            chunks = []
-        if len(chunks) <= 1:
-            metrics = self._call(
-                "evaluate_batch", len(actions), env, actions,
-                env_kwargs=env_kwargs, memoize=memoize,
-            )
-            return metrics, [self.last_host] * len(actions)
-
-        chunk_metrics: List[Optional[List[Dict[str, float]]]] = (
-            [None] * len(chunks)
+        metrics, hosts = self._run_on_loop(
+            self._scatter_async(env, actions, env_kwargs, memoize)
         )
-        chunk_hosts: List[Optional[str]] = [None] * len(chunks)
-        chunk_errors: List[Optional[BaseException]] = [None] * len(chunks)
-
-        def run_chunk(index: int, host: _Host, sub: List[Dict[str, Any]]) -> None:
-            try:
-                try:
-                    got = self._try_host(
-                        host, "evaluate_batch", len(sub), env, sub,
-                        env_kwargs=env_kwargs, memoize=memoize,
-                    )
-                    served_by = host.url
-                except ServiceTransportError:
-                    # The assigned host died (now quarantined): re-run
-                    # the chunk through the normal failover path.
-                    got = self._call(
-                        "evaluate_batch", len(sub), env, sub,
-                        env_kwargs=env_kwargs, memoize=memoize,
-                    )
-                    served_by = self._local.last_host
-                chunk_metrics[index] = got
-                chunk_hosts[index] = served_by
-            except BaseException as exc:  # surfaced to the caller below
-                chunk_errors[index] = exc
-
-        threads = [
-            threading.Thread(
-                target=run_chunk, args=(i, host, sub), daemon=True,
-                name=f"hostpool-scatter-{i}",
-            )
-            for i, (host, sub) in enumerate(chunks)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for error in chunk_errors:
-            if error is not None:
-                raise error
-
-        metrics: List[Dict[str, float]] = []
-        hosts: List[Optional[str]] = []
-        for index, (_, sub) in enumerate(chunks):
-            metrics.extend(chunk_metrics[index])
-            hosts.extend([chunk_hosts[index]] * len(sub))
         self._local.last_host = hosts[-1]
         return metrics, hosts
 
@@ -1039,36 +814,26 @@ class HostPool:
         actions: List[Dict[str, Any]],
         env_kwargs: Optional[Dict[str, Any]],
         memoize: bool,
-    ) -> Optional[Tuple[List[Dict[str, float]], List[Optional[str]]]]:
-        """Coroutine core of the async generation scatter.
-
-        Identical split/failover/reassembly policy to the threaded
-        path — weight-proportional contiguous chunks, pinned attempt
-        then least-load failover, request-order reassembly with
-        per-point provenance — but the chunks are ``gather``-ed tasks
-        on one loop instead of one thread each. Returns ``None`` for a
-        batch that would land on a single host; the sync wrapper
-        delegates that to the whole-batch path, exactly like the
-        threaded scatter does.
-        """
-        await self._timed_revival_async()
-        await self._refresh_auto_weights_async()
-        with self._lock:
-            alive = [h for h in self._hosts if h.alive]
+    ) -> Tuple[List[Dict[str, float]], List[Optional[str]]]:
+        """Coroutine core of :meth:`evaluate_batch_scatter`: the chunks
+        are ``gather``-ed tasks on the loop."""
+        alive = await self._prepare_dispatch()
+        chunks: List[Tuple[_Host, List[Dict[str, Any]]]] = []
         if len(alive) > 1:
             counts = weighted_split(
                 len(actions), [h.auto_weight for h in alive]
             )
-            chunks: List[Tuple[_Host, List[Dict[str, Any]]]] = []
             cursor = 0
             for host, count in zip(alive, counts):
                 if count:
                     chunks.append((host, actions[cursor:cursor + count]))
                     cursor += count
-        else:
-            chunks = []
         if len(chunks) <= 1:
-            return None
+            got, url = await self._call_async(
+                "evaluate_batch", len(actions), env, actions,
+                env_kwargs=env_kwargs, memoize=memoize,
+            )
+            return got, [url] * len(actions)
 
         async def run_chunk(
             host: _Host, sub: List[Dict[str, Any]]
@@ -1091,7 +856,7 @@ class HostPool:
             *(run_chunk(host, sub) for host, sub in chunks),
             return_exceptions=True,
         )
-        for result in results:  # first failure in chunk order, like threaded
+        for result in results:  # surface the first failure in chunk order
             if isinstance(result, BaseException):
                 raise result
         metrics: List[Dict[str, float]] = []
@@ -1114,7 +879,7 @@ class HostPool:
 
         The batch is cut into contiguous *work units* of ``unit_size``
         design points (default: enough units for every living host to
-        pull roughly four as it goes). One worker thread per living
+        pull roughly four as it goes). One worker coroutine per living
         host pulls units from a shared queue — a fast host simply
         pulls more, so dynamic load balancing replaces the static
         weighted split of :meth:`evaluate_batch_scatter` — and each
@@ -1127,18 +892,17 @@ class HostPool:
         in flight, an idle worker re-dispatches a straggler's unit
         (never its own; the unit with the fewest runners first). The
         evaluation API is deterministic and idempotent, so duplicates
-        are harmless: the first completion wins the unit and late
-        finishers are discarded by unit id — ``stream_duplicates``
-        counts them, and no unit is ever yielded twice.
+        are harmless: the first completion wins the unit and the
+        losers' requests are cancelled — ``stream_duplicates`` counts
+        them, and no unit is ever yielded twice.
 
         **No tail barrier.** The generator finishes when every unit's
-        *result* is known, not when every request has returned: an
-        abandoned straggler request may still be in flight while the
-        caller moves on (its eventual completion is discarded, its
-        in-flight slot released by the worker thread). That is the
-        pipelining hook — the driver can breed and dispatch the next
-        generation to the idle hosts while the straggler chews on a
-        stale request.
+        *result* is known, not when every request has returned: the
+        moment the last result lands (or the caller abandons the
+        generator), every request still in flight is cancelled. That
+        is the pipelining hook — the driver can breed and dispatch the
+        next generation to the idle hosts instead of waiting on a
+        straggler's stale request.
 
         **Failure.** A host whose transport dies is quarantined; its
         unfinished unit returns to the queue (unless a thief already
@@ -1157,211 +921,16 @@ class HostPool:
         actions = list(actions)
         if not actions:
             return
-        if self.async_dispatch:
-            yield from self._stream_async_driver(
-                env, actions, env_kwargs, memoize, unit_size
-            )
-            return
-        self._timed_revival()
-        self._refresh_auto_weights()
-        with self._lock:
-            alive = [h for h in self._hosts if h.alive]
+        # Validate before the prologue: a rejected call must not probe,
+        # revive or backfill any host.
+        if unit_size is not None and unit_size < 1:
+            raise ServiceError(f"unit_size must be >= 1, got {unit_size}")
+        alive = self._run_on_loop(self._prepare_dispatch())
         if unit_size is None:
             # ~4 units per living host: small enough that the tail is
             # short and steals are meaningful, large enough that the
             # per-request overhead stays amortized.
             unit_size = max(1, math.ceil(len(actions) / (4 * max(1, len(alive)))))
-        if unit_size < 1:
-            raise ServiceError(f"unit_size must be >= 1, got {unit_size}")
-        units: List[Tuple[int, List[Dict[str, Any]]]] = [
-            (start, actions[start:start + unit_size])
-            for start in range(0, len(actions), unit_size)
-        ]
-        if len(alive) < 2 or len(units) < 2:
-            metrics = self._call(
-                "evaluate_batch", len(actions), env, actions,
-                env_kwargs=env_kwargs, memoize=memoize,
-            )
-            yield 0, metrics, self.last_host
-            return
-
-        state_lock = threading.Lock()
-        pending: "deque[int]" = deque(range(len(units)))
-        runners: Dict[int, set] = {}
-        done: Dict[int, bool] = {}
-        stop = [False]
-        completions: "queue.Queue[Tuple[str, Any, Any, Any]]" = queue.Queue()
-        with self._lock:
-            self.stream_units += len(units)
-
-        def take_work(host: _Host) -> Optional[Tuple[int, bool]]:
-            """Next unit for ``host`` (bumping in-flight), or None."""
-            with state_lock:
-                if stop[0]:
-                    return None
-                if pending:
-                    uid, stolen = pending.popleft(), False
-                else:
-                    candidates = [
-                        u for u, r in runners.items()
-                        if u not in done and r and host not in r
-                    ]
-                    if not candidates:
-                        return None
-                    uid = min(candidates, key=lambda u: (len(runners[u]), u))
-                    stolen = True
-                runners.setdefault(uid, set()).add(host)
-            with self._lock:
-                host.inflight += 1
-                if stolen:
-                    self.stream_steals += 1
-            return uid, stolen
-
-        def worker(host: _Host) -> None:
-            try:
-                while True:
-                    work = take_work(host)
-                    if work is None:
-                        return
-                    uid, _ = work
-                    start, sub = units[uid]
-                    try:
-                        got = host.client.evaluate_batch(
-                            env, sub, env_kwargs=env_kwargs, memoize=memoize,
-                        )
-                    except ServiceTransportError as exc:
-                        self._mark(host, alive=False, error=str(exc))
-                        with self._lock:
-                            host.inflight -= 1
-                        with state_lock:
-                            crew = runners.get(uid)
-                            if crew is not None:
-                                crew.discard(host)
-                            if uid not in done and not crew:
-                                # No thief carries this unit: put it
-                                # back for the surviving workers.
-                                pending.appendleft(uid)
-                        return  # quarantined: this worker retires
-                    except BaseException as exc:
-                        # Server-produced (deterministic) error: would
-                        # fail identically on every host — surface it.
-                        with self._lock:
-                            host.inflight -= 1
-                        with state_lock:
-                            stop[0] = True
-                            crew = runners.get(uid)
-                            if crew is not None:
-                                crew.discard(host)
-                        completions.put(("error", exc, None, None))
-                        return
-                    won = False
-                    with state_lock:
-                        crew = runners.get(uid)
-                        if crew is not None:
-                            crew.discard(host)
-                        if uid not in done:
-                            done[uid] = True
-                            won = True
-                    with self._lock:
-                        host.inflight -= 1
-                        if won:
-                            host.evals += len(sub)
-                        else:
-                            self.stream_duplicates += 1
-                    if won:
-                        completions.put(("unit", uid, got, host.url))
-            finally:
-                completions.put(("exit", host, None, None))
-
-        def staff(hosts: Sequence[_Host]) -> int:
-            for host in hosts:
-                threading.Thread(
-                    target=worker, args=(host,), daemon=True,
-                    name="hostpool-stream",
-                ).start()
-            return len(hosts)
-
-        workers_live = staff(alive)
-        n_done = 0
-        revived_once = False
-        last_host: Optional[str] = None
-        try:
-            while n_done < len(units):
-                kind, a, b, c = completions.get()
-                if kind == "unit":
-                    uid, got, url = a, b, c
-                    start, sub = units[uid]
-                    if len(got) != len(sub):
-                        raise ServiceError(
-                            f"host {url} answered {len(got)} metric "
-                            f"object(s) for a {len(sub)}-point unit"
-                        )
-                    n_done += 1
-                    last_host = url
-                    yield start, got, url
-                elif kind == "error":
-                    raise a
-                else:  # a worker retired (host dead or out of work)
-                    workers_live -= 1
-                    if workers_live == 0 and n_done < len(units):
-                        # Every worker is gone with units outstanding:
-                        # at most one revival sweep per stream (like
-                        # _call), then restaff the living hosts — which
-                        # includes a host whose worker merely ran out
-                        # of stealable work before a straggler died
-                        # and requeued its unit.
-                        if not revived_once and self._revive_sweep():
-                            revived_once = True
-                        with self._lock:
-                            living = [h for h in self._hosts if h.alive]
-                        if not living:
-                            raise ServiceTransportError(
-                                f"all {len(self._hosts)} evaluation "
-                                f"host(s) failed with "
-                                f"{len(units) - n_done} work unit(s) "
-                                f"outstanding: {self._error_inventory()}"
-                            )
-                        workers_live = staff(living)
-        finally:
-            # Abandoned by the caller (or finished): stop handing out
-            # units. In-flight straggler requests drain on their own.
-            with state_lock:
-                stop[0] = True
-        self._local.last_host = last_host
-
-    async def _stream_prep_async(self) -> List[_Host]:
-        """Revival + auto-weights refresh on the loop, then the alive
-        snapshot the stream sizes its work units from — the same
-        prologue the threaded stream runs inline."""
-        await self._timed_revival_async()
-        await self._refresh_auto_weights_async()
-        with self._lock:
-            return [h for h in self._hosts if h.alive]
-
-    def _stream_async_driver(
-        self,
-        env: str,
-        actions: List[Dict[str, Any]],
-        env_kwargs: Optional[Dict[str, Any]],
-        memoize: bool,
-        unit_size: Optional[int],
-    ) -> Iterator[Tuple[int, List[Dict[str, float]], Optional[str]]]:
-        """Sync generator face of the async stream.
-
-        Launches :meth:`_stream_async` on the dispatch loop and drains
-        its completion queue, yielding units in completion order with
-        the same validation, delegation, and error surface as the
-        threaded generator. Abandonment (the pipelining hook) cancels
-        the supervisor, which cancels every in-flight task — where the
-        threaded stream lets abandoned straggler requests drain on
-        daemon threads, the async stream simply aborts them.
-        """
-        alive = self._run_on_loop(self._stream_prep_async())
-        if unit_size is None:
-            # ~4 units per living host, exactly like the threaded path.
-            unit_size = max(1, math.ceil(len(actions) / (4 * max(1, len(alive)))))
-        if unit_size < 1:
-            raise ServiceError(f"unit_size must be >= 1, got {unit_size}")
         units: List[Tuple[int, List[Dict[str, Any]]]] = [
             (start, actions[start:start + unit_size])
             for start in range(0, len(actions), unit_size)
@@ -1404,6 +973,21 @@ class HostPool:
             future.cancel()
         self._local.last_host = last_host
 
+    async def _unit_eval(
+        self,
+        host: _Host,
+        env: str,
+        sub: List[Dict[str, Any]],
+        env_kwargs: Optional[Dict[str, Any]],
+        memoize: bool,
+    ) -> List[Dict[str, float]]:
+        """One streaming work unit on ``host`` — the cancellable inner
+        task work stealing aborts when another host wins the unit."""
+        async with self._host_sem(host):
+            return await host.aio_client.evaluate_batch(
+                env, sub, env_kwargs=env_kwargs, memoize=memoize,
+            )
+
     async def _stream_async(
         self,
         env: str,
@@ -1413,22 +997,17 @@ class HostPool:
         memoize: bool,
         completions: "queue.Queue[Tuple[str, Any, Any, Any]]",
     ) -> None:
-        """Streaming-dispatch supervisor: the coroutine twin of the
-        threaded worker crew.
+        """Streaming-dispatch supervisor.
 
-        One worker *coroutine* per living host pulls units from the
-        shared queue (steal policy, requeue-on-death, restaff-on-all-
-        dead, and every counter identical to the threaded path). Where
-        a threaded thief's straggler had to drain on its own, here the
-        unit's winner **cancels** the losers' in-flight tasks outright
-        — each successful cancellation is the same discarded-duplicate
-        event ``stream_duplicates`` counts, landed early instead of
-        late (a loser that completed before the cancel counts its own,
-        exactly like a threaded late finisher). Scheduling state
-        (``pending``/``runners``/``done``) needs no lock at all: every
-        mutation happens between awaits on the one loop thread — the
-        threaded path's ``state_lock`` has no twin here. Counters and
-        host state stay under ``self._lock``, shared with sync callers.
+        One worker coroutine per living host pulls units from the
+        shared queue. A unit's winner **cancels** the losers' in-flight
+        tasks; each successful cancellation is one discarded duplicate
+        for ``stream_duplicates`` (a loser that completed before the
+        cancel counts its own). Scheduling state
+        (``pending``/``runners``/``done``) needs no lock: every
+        mutation happens between awaits on the one loop thread.
+        Counters and host state stay under ``self._lock``, shared with
+        sync callers.
         """
         pending: "deque[int]" = deque(range(len(units)))
         runners: Dict[int, Dict[_Host, "asyncio.Task"]] = {}
@@ -1437,7 +1016,7 @@ class HostPool:
         exits: "asyncio.Queue[_Host]" = asyncio.Queue()
         worker_tasks: List["asyncio.Task"] = []
 
-        def take_work(host: _Host) -> Optional[Tuple[int, bool]]:
+        def take_work(host: _Host) -> Optional[int]:
             """Next unit for ``host`` (bumping in-flight), or None."""
             if stop[0]:
                 return None
@@ -1457,16 +1036,15 @@ class HostPool:
                 host.inflight += 1
                 if stolen:
                     self.stream_steals += 1
-            return uid, stolen
+            return uid
 
         async def worker(host: _Host) -> None:
             try:
                 while True:
-                    work = take_work(host)
-                    if work is None:
+                    uid = take_work(host)
+                    if uid is None:
                         return
-                    uid, _ = work
-                    start, sub = units[uid]
+                    sub = units[uid][1]
                     task = asyncio.ensure_future(
                         self._unit_eval(host, env, sub, env_kwargs, memoize)
                     )
@@ -1547,7 +1125,7 @@ class HostPool:
                 if len(done) >= len(units) or stop[0]:
                     break
                 # Every worker is gone with units outstanding: at most
-                # one revival sweep per stream (like _call), then
+                # one revival sweep per stream (like _call_async), then
                 # restaff the living hosts — which includes a host
                 # whose worker merely ran out of stealable work before
                 # a straggler died and requeued its unit.
@@ -1581,10 +1159,9 @@ class HostPool:
         return self._call("healthz", 0)
 
     def close(self) -> None:
-        """Release every transport resource the pool holds: all hosts'
-        sync clients (every dispatch thread's keep-alive sockets, not
-        just the calling thread's), the async clients' pooled
-        connections, and the dispatch loop with its runner thread.
+        """Release every transport resource the pool holds: the
+        clients' pooled connections, and the dispatch loop with its
+        runner thread.
 
         Teardown-only by contract (no dispatch may be in flight), but
         the pool itself stays usable: quarantine state and counters
@@ -1594,25 +1171,16 @@ class HostPool:
         process to zero open sockets.
         """
         with self._lock:
-            loop, self._aio_loop = self._aio_loop, None
-            thread, self._aio_thread = self._aio_thread, None
-        if loop is not None:
+            runner, self._runner = self._runner, None
+        if runner is not None:
             try:
                 asyncio.run_coroutine_threadsafe(
-                    self._aclose_clients(), loop
+                    self._aclose_clients(), runner.loop
                 ).result(timeout=5)
             except Exception:
                 pass  # best effort: the loop is going away regardless
-            loop.call_soon_threadsafe(loop.stop)
-            if thread is not None:
-                thread.join(timeout=5)
-            try:
-                loop.close()
-            except RuntimeError:
-                pass
+            runner.stop()
         for host in self._hosts:
-            host.client.close()
-            host.probe_client.close()
             # The semaphore was bound to the closed loop (3.9 binds at
             # construction): drop it so the next dispatch rebuilds it
             # on the fresh loop.

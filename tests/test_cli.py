@@ -148,6 +148,26 @@ class TestDurableCommands:
                 row["wall_time_s"] = row["sim_time_s"] = 0.0
         assert resumed == clean
 
+    def test_async_dispatch_flag_is_a_hidden_no_op(self, tmp_path, capsys):
+        """Old command lines still parse, and the flag changes nothing:
+        same export, and an out-dir started without it resumes with it."""
+        assert "--async-dispatch" not in build_parser().format_help()
+        payloads = []
+        for name, extra in (("plain", []), ("flag", ["--async-dispatch"])):
+            export = tmp_path / f"{name}.json"
+            assert main(self.SWEEP_ARGS + extra + [
+                "--out-dir", str(tmp_path / name), "--export", str(export),
+            ]) == 0
+            payloads.append(json.loads(export.read_text()))
+        for payload in payloads:
+            for row in payload["rows"]:
+                row["wall_time_s"] = row["sim_time_s"] = 0.0
+        assert payloads[0] == payloads[1]
+        assert main(self.SWEEP_ARGS + [
+            "--async-dispatch", "--out-dir", str(tmp_path / "plain"),
+            "--resume",
+        ]) == 0
+
     def test_sweep_shared_cache_flag(self, tmp_path, capsys):
         # a tiny space with repeat proposals across trials
         code = main([

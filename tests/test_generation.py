@@ -532,7 +532,7 @@ class TestGenerationScatter:
         assert hosts[:12] == [a.url] * 12 and hosts[12:] == [b.url] * 4
         assert a.evaluations == 12 and b.evaluations == 4
         # one POST per host, not one per point
-        assert sum(h.client.requests_sent for h in pool._hosts) == 2
+        assert sum(h.aio_client.requests_sent for h in pool._hosts) == 2
 
     def test_singleton_batch_keeps_round_robin_placement(
         self, two_counting_services

@@ -11,22 +11,29 @@ Three batteries:
    bodies is retried, then quarantined; a restarted host is revived.
 3. **Parity** — the acceptance battery: one fixed-seed DRAM sweep run
    serial in-process, with ``workers=4``, against a single service,
-   over a 2-host pool with batching enabled, and over the same pool
-   with ``async_dispatch`` (coroutine fan-out on one event loop)
-   produces byte-identical reports, datasets, and shard artifacts.
+   over a 2-host pool with batching enabled, and then over the same
+   pool with ``workers=2`` (forked after the pool's event loop has
+   run in this process) produces byte-identical reports, datasets,
+   and shard artifacts.
 4. **Generation parity** — the generation-native battery: a GA+ACO
    sweep run serial, with ``generation_dispatch`` in-process, with
-   ``generation_dispatch`` over a weighted 2-host pool, in
+   ``generation_dispatch`` over a weighted 2-host pool, and in
    ``pipeline`` mode (streaming dispatch with work stealing) both
-   in-process and over the pool, and with ``async_dispatch`` flipped
-   on for both pool modes produces byte-identical reports, datasets,
-   and shard artifacts, with the weight-2 host carrying the larger
-   share of the scattered generations.
+   in-process and over the pool produces byte-identical reports,
+   datasets, and shard artifacts, with the weight-2 host carrying the
+   larger share of the scattered generations.
 5. **Transport teardown** — the keep-alive leak regression: client,
    pool, and cached-backend teardown reclaim every persistent socket
-   (including exited dispatch threads'), in both dispatch cores.
+   (including exited dispatch threads') and the pool's loop thread.
+
+The dispatch-interleaving and teardown tests are parametrized over the
+caller context of the pool's sync API (see :func:`caller`): a worker
+thread that did not build the pool, and a coroutine on the caller's
+own running event loop.
 """
 
+import asyncio
+import gc
 import json
 import threading
 import time
@@ -66,6 +73,71 @@ def two_services():
     yield a, b
     a.stop()
     b.stop()
+
+
+def _drive(context, fn):
+    """Run ``fn()`` from ``context`` and return (or raise) its outcome:
+    ``"threaded"`` calls it on a fresh caller thread, ``"async"`` from
+    a coroutine on a caller-owned running event loop (never set as the
+    thread's current loop, so no global asyncio state leaks)."""
+    if context == "async":
+        async def main():
+            return fn()
+
+        loop = asyncio.new_event_loop()
+        try:
+            return loop.run_until_complete(main())
+        finally:
+            loop.close()
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, name="pool-caller")
+    thread.start()
+    thread.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class _DrivenPool:
+    """A :class:`HostPool` whose sync API is called from one caller
+    context; every other attribute passes straight through. The stream
+    is drained inside the context and replayed as a list iterator."""
+
+    DRIVEN = frozenset({
+        "evaluate", "evaluate_batch", "evaluate_batch_scatter",
+        "evaluate_batch_stream", "check_health", "healthz", "close",
+    })
+
+    def __init__(self, pool, context):
+        self._pool = pool
+        self._context = context
+
+    def __getattr__(self, name):
+        attr = getattr(self._pool, name)
+        if name not in self.DRIVEN:
+            return attr
+        if name == "evaluate_batch_stream":
+            return lambda *a, **kw: iter(
+                _drive(self._context, lambda: list(attr(*a, **kw)))
+            )
+        return lambda *a, **kw: _drive(self._context, lambda: attr(*a, **kw))
+
+
+@pytest.fixture(params=["threaded", "async"])
+def caller(request):
+    """The context a pool's sync API is driven from. The pool runs its
+    fan-out on its own loop thread, so it must behave identically when
+    called from any thread — including one whose own event loop is
+    running (where a bridge built on ``asyncio.run`` or the caller's
+    loop would fail)."""
+    return request.param
 
 
 class TestBackendCacheForkSafety:
@@ -510,24 +582,21 @@ class TestCacheBackfill:
         finally:
             restarted.stop()
 
-    @pytest.mark.parametrize(
-        "async_dispatch", [False, True], ids=["threaded", "async"]
-    )
     def test_revival_and_backfill_ride_an_inflight_scatter(
-        self, two_services, async_dispatch
+        self, two_services, caller
     ):
         """The hardest interleaving: the timed revival probe fires at
         the entry of a scatter dispatch, so the anti-entropy backfill
         runs while that same scatter is about to fan out — the revived
         host must rejoin with a complete cache *and* serve part of the
-        very batch whose dispatch revived it. Both dispatch cores."""
+        very batch whose dispatch revived it."""
         a, b = two_services
         url_b, port_b = b.url, b.port
         client_a, seeded = self._seed(a.url, 4)
-        pool = HostPool(
+        pool = _DrivenPool(HostPool(
             [a.url, url_b], timeout_s=5.0, retries=0, backoff_s=0.01,
-            revive_after_s=0.05, async_dispatch=async_dispatch,
-        )
+            revive_after_s=0.05,
+        ), caller)
         b.stop()
         actions = [{"x": i % 8, "m": "a"} for i in range(8)]
         # b's chunk fails over to a; b lands in quarantine.
@@ -595,28 +664,24 @@ class TestTransportTeardown:
         assert client.connections_opened == 4
         client.close()
 
-    @pytest.mark.parametrize(
-        "async_dispatch", [False, True], ids=["threaded", "async"]
-    )
     def test_pool_close_reclaims_every_host_transport(
-        self, two_services, async_dispatch
+        self, two_services, caller
     ):
         a, b = two_services
-        pool = HostPool(
-            [a.url, b.url], timeout_s=5.0, retries=0,
-            async_dispatch=async_dispatch,
+        pool = _DrivenPool(
+            HostPool([a.url, b.url], timeout_s=5.0, retries=0), caller
         )
         actions = [{"x": i % 8, "m": "a"} for i in range(8)]
         pool.evaluate_batch_scatter("SvcCounting-v0", actions)
+        assert all(host.aio_client._idle for host in pool._hosts)
         pool.close()
         for host in pool._hosts:
-            assert host.client._all_conns == set()
-            assert host.probe_client._all_conns == set()
-            if async_dispatch:
-                assert not host.aio_client._idle
-                assert not host.aio_probe._idle
-        # No dispatch machinery left running either: scatter workers
-        # are per-call, and close() tears down the event-loop thread.
+            assert not host.aio_client._idle
+            assert not host.aio_probe._idle
+        # No dispatch machinery left running either: close() tears
+        # down this pool's event-loop thread, and pools that earlier
+        # tests dropped unclosed stop theirs once collected.
+        gc.collect()
         lingering = [
             t.name
             for t in threading.enumerate()
@@ -626,6 +691,20 @@ class TestTransportTeardown:
         # The pool stays usable; transports reopen lazily.
         pool.evaluate("SvcCounting-v0", {"x": 0, "m": "a"})
         pool.close()
+
+    def test_dropped_pool_stops_its_loop_thread(self, two_services):
+        """A pool dropped without close() must not leak its event-loop
+        thread (nor the sockets that loop holds)."""
+        a, b = two_services
+        pool = HostPool([a.url, b.url], timeout_s=5.0, retries=0)
+        pool.evaluate("SvcCounting-v0", {"x": 0, "m": "a"})
+        runner = pool._runner
+        assert runner.is_alive()
+        del pool
+        gc.collect()
+        runner.join(timeout=5)
+        assert not runner.is_alive()
+        assert runner.loop.is_closed()
 
     def test_trial_teardown_closes_cached_backend_sockets(
         self, two_services
@@ -648,13 +727,13 @@ class TestTransportTeardown:
         for backend in _BACKEND_CACHE.values():
             pool = backend.client
             opened = sum(
-                h.client.connections_opened + h.probe_client.connections_opened
+                h.aio_client.connections_opened + h.aio_probe.connections_opened
                 for h in pool._hosts
             )
             assert opened > 0  # the sweep really held keep-alive sockets
             for host in pool._hosts:
-                assert host.client._all_conns == set()
-                assert host.probe_client._all_conns == set()
+                assert not host.aio_client._idle
+                assert not host.aio_probe._idle
 
 
 # -- self-tuning dispatch weights -------------------------------------------------
@@ -803,10 +882,12 @@ class TestFourModeParity:
                     service_batch=True,
                     out_dir=tmp_path / "hostpool", **self.KW
                 ),
-                "hostpool-async": run_lottery_sweep(
-                    factory, service_url=list(pool_urls),
-                    service_batch=True, async_dispatch=True,
-                    out_dir=tmp_path / "hostpool-async", **self.KW
+                # Forks after the serial pool sweep above has run the
+                # pool's event loop in this process.
+                "hostpool-workers2": run_lottery_sweep(
+                    factory, workers=2, service_url=list(pool_urls),
+                    service_batch=True,
+                    out_dir=tmp_path / "hostpool-workers2", **self.KW
                 ),
             }
         finally:
@@ -818,7 +899,7 @@ class TestFourModeParity:
     def test_reports_bit_identical(self, modes):
         _, reports, _ = modes
         reference = _normalized(reports["serial"])
-        for mode in ("workers4", "service", "hostpool", "hostpool-async"):
+        for mode in ("workers4", "service", "hostpool", "hostpool-workers2"):
             assert _normalized(reports[mode]) == reference, mode
 
     def test_datasets_byte_identical(self, modes):
@@ -838,14 +919,14 @@ class TestFourModeParity:
         assert shard_names  # the durable path really produced shards
         for name in shard_names:
             reference = _normalized_shard_bytes(tmp_path / "serial" / name)
-            for mode in ("workers4", "service", "hostpool", "hostpool-async"):
+            for mode in ("workers4", "service", "hostpool", "hostpool-workers2"):
                 assert (
                     _normalized_shard_bytes(tmp_path / mode / name) == reference
                 ), f"{mode}/{name}"
 
     def test_both_pool_hosts_participated(self, modes):
         _, reports, (url_a, url_b) = modes
-        for mode in ("hostpool", "hostpool-async"):
+        for mode in ("hostpool", "hostpool-workers2"):
             by_host = reports[mode].remote_evals_by_host
             assert by_host.get(url_a, 0) > 0, mode
             assert by_host.get(url_b, 0) > 0, mode
@@ -911,19 +992,6 @@ class TestGenerationParity:
                     pipeline=True,
                     out_dir=tmp_path / "pipeline-pool", **self.KW
                 ),
-                "async-pool": run_lottery_sweep(
-                    factory,
-                    service_url=[pool_a.url + "=2", pool_b.url],
-                    generation_dispatch=True, service_batch=True,
-                    async_dispatch=True,
-                    out_dir=tmp_path / "async-pool", **self.KW
-                ),
-                "async-pipeline-pool": run_lottery_sweep(
-                    factory,
-                    service_url=[pool_a.url, pool_b.url],
-                    pipeline=True, async_dispatch=True,
-                    out_dir=tmp_path / "async-pipeline-pool", **self.KW
-                ),
             }
         finally:
             pool_a.stop()
@@ -935,7 +1003,6 @@ class TestGenerationParity:
         reference = _normalized(reports["serial"])
         for mode in (
             "generation", "weighted-pool", "pipeline", "pipeline-pool",
-            "async-pool", "async-pipeline-pool",
         ):
             assert _normalized(reports[mode]) == reference, mode
 
@@ -958,7 +1025,6 @@ class TestGenerationParity:
             reference = _normalized_shard_bytes(tmp_path / "serial" / name)
             for mode in (
                 "generation", "weighted-pool", "pipeline", "pipeline-pool",
-                "async-pool", "async-pipeline-pool",
             ):
                 assert (
                     _normalized_shard_bytes(tmp_path / mode / name) == reference
@@ -969,9 +1035,8 @@ class TestGenerationParity:
         remote evaluation, and the weight-2 host carried the larger
         share of the generations."""
         _, reports, (url_a, url_b) = modes
-        for mode in ("weighted-pool", "async-pool"):
-            by_host = reports[mode].remote_evals_by_host
-            assert by_host.get(url_a, 0) > 0, mode
-            assert by_host.get(url_b, 0) > 0, mode
-            assert sum(by_host.values()) == reports[mode].remote_evals, mode
-            assert by_host[url_a] > by_host[url_b], mode
+        by_host = reports["weighted-pool"].remote_evals_by_host
+        assert by_host.get(url_a, 0) > 0
+        assert by_host.get(url_b, 0) > 0
+        assert sum(by_host.values()) == reports["weighted-pool"].remote_evals
+        assert by_host[url_a] > by_host[url_b]

@@ -22,10 +22,10 @@ Four batteries:
    full ``--pipeline`` sweep over a slow+fast pool stay byte-identical
    to the serial loop; no design point is recorded twice.
 
-Batteries 1 and 2 are parametrized over both dispatch cores: worker
-threads (the default) and ``async_dispatch=True`` (coroutine tasks on
-one event loop) must be observationally identical — same chunks, same
-counters, same failure surfaces.
+Batteries 1 and 2 are parametrized over the caller context of the
+pool's sync API: a worker thread that did not build the pool
+(``threaded``) and a coroutine on the caller's own running event loop
+(``async``) must see the same chunks, counters and failure surfaces.
 """
 
 import threading
@@ -37,7 +37,7 @@ from repro.core.errors import ServiceError, ServiceTransportError
 from repro.service import EvaluationService, RemoteBackend, ServiceClient
 from repro.sweeps import HostPool, clear_backend_cache, run_lottery_sweep
 
-from test_multihost import _normalized
+from test_multihost import _DrivenPool, _normalized
 from test_service import SvcCountingEnv, _free_port
 
 
@@ -87,18 +87,17 @@ def slow_fast_services():
 
 @pytest.fixture(params=["threaded", "async"])
 def dispatch_pool(request):
-    """Pool factory parametrized over both dispatch cores. Streaming
+    """Pool factory parametrized over the caller context of the sync
+    API (a fresh worker thread, or a coroutine on the caller's own
+    running event loop; see ``test_multihost._drive``). Streaming
     mechanics and straggler handling must be observationally identical
-    whether work units ride worker threads or coroutine tasks on the
-    pool's single event loop."""
+    from either. Closes every pool it built at teardown."""
     pools = []
 
     def factory(urls, **kw):
-        pool = HostPool(
-            urls, async_dispatch=(request.param == "async"), **kw
-        )
+        pool = HostPool(urls, **kw)
         pools.append(pool)
-        return pool
+        return _DrivenPool(pool, request.param)
 
     yield factory
     for pool in pools:
@@ -172,14 +171,22 @@ class TestStreamingMechanics:
         assert pool.stream_units == 0
 
     def test_bad_unit_size_rejected(self, two_services, dispatch_pool):
+        """Rejected before any network I/O: a live but quarantined host
+        that any dispatch prologue would re-probe and revive
+        (``revive_after_s=0``) stays quarantined."""
         a, b = two_services
-        pool = dispatch_pool([a.url, b.url], timeout_s=10.0, retries=0)
+        pool = dispatch_pool(
+            [a.url, b.url], timeout_s=10.0, retries=0, revive_after_s=0
+        )
+        pool._mark(pool._hosts[1], alive=False, error="quarantined by test")
         with pytest.raises(ServiceError, match="unit_size"):
             list(
                 pool.evaluate_batch_stream(
                     "SvcCounting-v0", _distinct_actions(4), unit_size=0
                 )
             )
+        assert pool.quarantined_urls == [b.url]
+        assert a.evaluations == b.evaluations == 0
 
     def test_remote_backend_single_client_falls_back(self):
         svc = _service()

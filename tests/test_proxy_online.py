@@ -224,61 +224,74 @@ class TestAutoWeightWindows:
     sub-epsilon poll must not consume the accumulation window, and a
     counter reset (host restart) must re-baseline."""
 
-    def _pool(self, healths):
+    @pytest.fixture()
+    def stub_pool(self):
+        """Factory for a one-host auto-weights pool whose probe answers
+        ``/healthz`` from a scripted feed; closes the pools it built."""
         from repro.sweeps.hostpool import HostPool
 
-        class _StubProbe:
-            def __init__(self, feed):
-                self.feed = list(feed)
+        pools = []
 
-            def healthz(self):
-                return self.feed.pop(0)
+        def make(healths):
+            feed = list(healths)
 
-        pool = HostPool(
-            ["http://stub:1"], timeout_s=1.0, retries=0,
-            auto_weights=True, auto_weights_interval_s=0.0,
-        )
-        pool._hosts[0].probe_client = _StubProbe(healths)
-        return pool, pool._hosts[0]
+            async def healthz():
+                return feed.pop(0)
 
-    def test_zero_delta_poll_preserves_window(self):
-        pool, host = self._pool([
+            pool = HostPool(
+                ["http://stub:1"], timeout_s=1.0, retries=0,
+                auto_weights=True, auto_weights_interval_s=0.0,
+            )
+            pool._hosts[0].aio_probe.healthz = healthz
+            pools.append(pool)
+            return pool, pool._hosts[0]
+
+        yield make
+        for pool in pools:
+            pool.close()
+
+    @staticmethod
+    def _refresh(pool):
+        pool._run_on_loop(pool._refresh_auto_weights_async())
+
+    def test_zero_delta_poll_preserves_window(self, stub_pool):
+        pool, host = stub_pool([
             {"evaluations": 10, "busy_s": 1.0},
             {"evaluations": 10, "busy_s": 1.0},  # nothing happened
             {"evaluations": 20, "busy_s": 2.0},
         ])
-        pool._refresh_auto_weights()
+        self._refresh(pool)
         assert host.rate_ewma == pytest.approx(10.0)
-        pool._refresh_auto_weights()  # zero delta: no fold, no re-baseline
+        self._refresh(pool)  # zero delta: no fold, no re-baseline
         assert host.rate_ewma == pytest.approx(10.0)
         assert host.seen_evals == 10
-        pool._refresh_auto_weights()
+        self._refresh(pool)
         # the full 10-evals/1s window folds as rate 10, not 0 or a spike
         assert host.rate_ewma == pytest.approx(10.0)
 
-    def test_sub_epsilon_busy_window_not_a_spike(self):
-        pool, host = self._pool([
+    def test_sub_epsilon_busy_window_not_a_spike(self, stub_pool):
+        pool, host = stub_pool([
             {"evaluations": 10, "busy_s": 1.0},
             {"evaluations": 11, "busy_s": 1.0 + 1e-9},  # back-to-back poll
             {"evaluations": 20, "busy_s": 2.0},
         ])
-        pool._refresh_auto_weights()
-        pool._refresh_auto_weights()  # would be rate 1e9 without the guard
+        self._refresh(pool)
+        self._refresh(pool)  # would be rate 1e9 without the guard
         assert host.rate_ewma == pytest.approx(10.0)
-        pool._refresh_auto_weights()
+        self._refresh(pool)
         assert host.rate_ewma == pytest.approx(10.0)
 
-    def test_counter_reset_rebaselines(self):
-        pool, host = self._pool([
+    def test_counter_reset_rebaselines(self, stub_pool):
+        pool, host = stub_pool([
             {"evaluations": 10, "busy_s": 1.0},
             {"evaluations": 2, "busy_s": 0.2},  # host restarted
             {"evaluations": 12, "busy_s": 1.2},
         ])
-        pool._refresh_auto_weights()
-        pool._refresh_auto_weights()  # negative delta: re-baseline only
+        self._refresh(pool)
+        self._refresh(pool)  # negative delta: re-baseline only
         assert host.rate_ewma == pytest.approx(10.0)
         assert host.seen_evals == 2
-        pool._refresh_auto_weights()
+        self._refresh(pool)
         assert host.rate_ewma == pytest.approx(10.0)
 
 

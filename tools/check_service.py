@@ -22,10 +22,11 @@ Drives the real CLI end to end, mirroring tools/check_resume.py:
    :func:`auto_weights_microbench` requires a pool with
    ``auto_weights=True`` to observe the same speed gap via healthz
    service rates and visibly shift scattered load off the slow host,
-   and :func:`fanout_microbench` requires ``async_dispatch=True`` to
-   drive a 32-host pool with >= 8x fewer OS threads than threaded
-   dispatch (one loop runner vs one thread per chunk/host) at no
-   wall-clock regression and identical metrics;
+   and :func:`fanout_microbench` requires a 32-host pool to start at
+   most 2 OS threads (one event-loop runner) for a scatter plus a
+   stream, with metrics identical to in-process evaluation, and a
+   2-host scatter over slow hosts to take at most 0.75x the time of
+   the same batch on one host (its chunks run concurrently);
 4. runs the identical sweep in-process into a second export;
 5. diffs the two reports — trial order, metrics, hyperparameters, and
    cache counters must match exactly (timing fields and the
@@ -160,7 +161,7 @@ def generation_microbench(
         )
 
     def pool_round_trips(pool):
-        return sum(h.client.requests_sent for h in pool._hosts)
+        return sum(h.aio_client.requests_sent for h in pool._hosts)
 
     per_point_pool = HostPool(urls, timeout_s=30.0, retries=0)
     scatter_pool = HostPool(urls, timeout_s=30.0, retries=0)
@@ -390,28 +391,25 @@ def auto_weights_microbench(
 def fanout_microbench(
     n_hosts: int = 32,
     population: int = 64,
-    min_thread_ratio: float = 8.0,
+    max_pool_threads: int = 2,
     delay_s: float = 0.03,
-    slack: float = 1.25,
+    max_ratio: float = 0.75,
 ) -> None:
-    """One event loop vs one OS thread per chunk/host.
+    """One event loop drives the whole fan-out, and its chunks overlap.
 
     Leg 1 (thread economy): the same GA generation is scattered *and*
-    streamed over an ``n_hosts`` in-process pool twice — once with
-    threaded dispatch, once with ``async_dispatch=True``. Every OS
-    thread the pool starts carries a ``hostpool-`` name, so a
-    monkeypatched ``threading.Thread.start`` counts them: the threaded
-    core pays one thread per scatter chunk plus one per streaming
-    host, the async core pays a single loop-runner thread for the
-    whole pool. The threaded count must be >= ``min_thread_ratio``
-    times the async count, with point-identical metrics.
+    streamed over an ``n_hosts`` in-process pool. Every OS thread the
+    pool starts carries a ``hostpool-`` name, so a monkeypatched
+    ``threading.Thread.start`` counts them: the pool may start at most
+    ``max_pool_threads`` (one loop runner, whatever the pool size), and
+    both results must equal in-process ``env.evaluate`` point for
+    point.
 
-    Leg 2 (no wall-clock regression): the same generation scattered
-    over 2 real, deliberately slow hosts (``delay_s`` per point),
-    best-of-3 per mode — the event loop must not be slower than
-    threads by more than ``slack``. Together the legs are the CI gate
-    for ``--async-dispatch``: the claimed resource win is real and it
-    costs no latency.
+    Leg 2 (concurrency): the same generation over deliberately slow
+    real hosts (``delay_s`` per point), best of 3 per side — scattered
+    over 2 hosts, and sent whole to one of them. The scatter must take
+    at most ``max_ratio`` of the whole-batch time, which it can only do
+    if its two chunks run at the same time.
     """
     import functools
     import threading
@@ -424,6 +422,7 @@ def fanout_microbench(
     env = repro.make("DRAMGym-v0")
     agent = GAAgent(env.action_space, seed=0, population_size=population)
     generation = agent.propose_batch()
+    oracle = [env.evaluate(action) for action in generation]
     env.close()
 
     # -- leg 1: thread economy over a wide in-process fleet -------------------
@@ -435,63 +434,45 @@ def fanout_microbench(
         )
         svc.start()
         services.append(svc)
-    urls = [svc.url for svc in services]
+    started: list = []
+    orig_start = threading.Thread.start
 
-    def run_pool(async_dispatch: bool):
-        started: list = []
-        orig_start = threading.Thread.start
+    def counting_start(thread_self):
+        if str(thread_self.name).startswith("hostpool-"):
+            started.append(str(thread_self.name))
+        return orig_start(thread_self)
 
-        def counting_start(thread_self):
-            if str(thread_self.name).startswith("hostpool-"):
-                started.append(str(thread_self.name))
-            return orig_start(thread_self)
-
-        pool = HostPool(
-            urls, timeout_s=60.0, retries=0, async_dispatch=async_dispatch
-        )
-        threading.Thread.start = counting_start
-        try:
-            scattered, _ = pool.evaluate_batch_scatter(
-                "DRAMGym-v0", generation, memoize=False
-            )
-            streamed: list = [None] * len(generation)
-            for begin, metrics_list, _ in pool.evaluate_batch_stream(
-                "DRAMGym-v0", generation, memoize=False
-            ):
-                streamed[begin:begin + len(metrics_list)] = metrics_list
-        finally:
-            threading.Thread.start = orig_start
-            pool.close()
-        return scattered, streamed, started
-
+    pool = HostPool([svc.url for svc in services], timeout_s=60.0, retries=0)
+    threading.Thread.start = counting_start
     try:
-        thr_scatter, thr_stream, thr_threads = run_pool(False)
-        aio_scatter, aio_stream, aio_threads = run_pool(True)
+        scattered, _ = pool.evaluate_batch_scatter(
+            "DRAMGym-v0", generation, memoize=False
+        )
+        streamed: list = [None] * len(generation)
+        for begin, metrics_list, _ in pool.evaluate_batch_stream(
+            "DRAMGym-v0", generation, memoize=False
+        ):
+            streamed[begin:begin + len(metrics_list)] = metrics_list
     finally:
+        threading.Thread.start = orig_start
+        pool.close()
         for svc in services:
             svc.stop()
 
-    if aio_scatter != thr_scatter or aio_stream != thr_stream:
-        raise RuntimeError("async dispatch metrics differ from threaded")
-    ratio = len(thr_threads) / max(1, len(aio_threads))
+    if scattered != oracle or streamed != oracle:
+        raise RuntimeError("pool metrics differ from in-process evaluation")
     print(
         f"fanout microbench leg 1 ({n_hosts} hosts, population "
-        f"{population}): scatter+stream started {len(thr_threads)} pool "
-        f"threads threaded vs {len(aio_threads)} async "
-        f"({ratio:.0f}x fewer)"
+        f"{population}): scatter+stream started {len(started)} pool "
+        f"thread(s)"
     )
-    if len(aio_threads) > 2:
+    if len(started) > max_pool_threads:
         raise RuntimeError(
-            f"async dispatch started {len(aio_threads)} pool threads "
-            "(the whole point is one loop runner)"
-        )
-    if ratio < min_thread_ratio:
-        raise RuntimeError(
-            f"async dispatch saved only {ratio:.1f}x threads "
-            f"(need >= {min_thread_ratio:.0f}x)"
+            f"the pool started {len(started)} threads for {n_hosts} hosts "
+            f"(at most {max_pool_threads}: one loop runner)"
         )
 
-    # -- leg 2: no wall-clock regression on real (slow) hosts -----------------
+    # -- leg 2: the scattered chunks run concurrently ----------------------------
     slow_a = EvaluationService()
     slow_a.register("DRAMGym-v0", functools.partial(_slow_dram_env, delay_s))
     slow_b = EvaluationService()
@@ -499,11 +480,8 @@ def fanout_microbench(
     slow_a.start()
     slow_b.start()
     try:
-        def best_of(async_dispatch: bool, reps: int = 3):
-            pool = HostPool(
-                [slow_a.url, slow_b.url], timeout_s=60.0, retries=0,
-                async_dispatch=async_dispatch,
-            )
+        def best_of(urls, reps: int = 3):
+            pool = HostPool(urls, timeout_s=60.0, retries=0)
             best, results = float("inf"), None
             try:
                 for _ in range(reps):
@@ -516,25 +494,26 @@ def fanout_microbench(
                 pool.close()
             return best, results
 
-        threaded_s, threaded_results = best_of(False)
-        async_s, async_results = best_of(True)
+        whole_s, whole_results = best_of([slow_a.url])
+        scatter_s, scatter_results = best_of([slow_a.url, slow_b.url])
     finally:
         slow_a.stop()
         slow_b.stop()
 
-    if async_results != threaded_results:
+    if whole_results != oracle or scatter_results != oracle:
         raise RuntimeError(
-            "async dispatch metrics differ from threaded on the slow pool"
+            "slow-pool metrics differ from in-process evaluation"
         )
     print(
-        f"fanout microbench leg 2 (2 hosts, {delay_s * 1e3:.0f}ms/point, "
-        f"best of 3): {threaded_s:.3f}s threaded scatter vs "
-        f"{async_s:.3f}s async ({threaded_s / async_s:.2f}x)"
+        f"fanout microbench leg 2 ({delay_s * 1e3:.0f}ms/point, best of "
+        f"3): {whole_s:.3f}s whole on one host vs {scatter_s:.3f}s "
+        f"scattered over two ({scatter_s / whole_s:.2f}x)"
     )
-    if async_s > threaded_s * slack:
+    if scatter_s > whole_s * max_ratio:
         raise RuntimeError(
-            f"async scatter ({async_s:.3f}s) regressed more than "
-            f"{slack:.2f}x past threaded ({threaded_s:.3f}s)"
+            f"2-host scatter ({scatter_s:.3f}s) took more than "
+            f"{max_ratio:.2f}x the one-host batch ({whole_s:.3f}s): "
+            "its chunks did not run concurrently"
         )
 
 
@@ -574,8 +553,8 @@ def main() -> int:
     # 3c. observed-rate weights must shift load off a slow host
     auto_weights_microbench()
 
-    # 3d. one event loop must replace the per-chunk/per-host threads
-    # (>= 8x fewer) without regressing scatter wall-clock
+    # 3d. one event loop drives a 32-host pool, and a 2-host scatter's
+    # chunks run concurrently
     fanout_microbench()
 
     # 4. in-process reference run
