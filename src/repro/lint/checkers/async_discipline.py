@@ -35,8 +35,9 @@ from typing import Dict, Iterator, Set
 from repro.lint.core import Checker, Finding, SourceFile, register
 
 #: The sync client's blocking request surface. The async client answers
-#: to the same names on purpose (one wire schema, two transports), so
-#: receiver spelling — not the method name — decides what gets flagged.
+#: to the same names on purpose (one shared protocol, two socket
+#: layers), so receiver spelling — not the method name — decides what
+#: gets flagged.
 BLOCKING_METHODS = {
     "evaluate",
     "evaluate_batch",

@@ -7,10 +7,12 @@ emits) fails only at runtime, possibly only under one dispatch mode.
 This checker extracts both sides of the schema from the AST of the
 ``service/`` modules and enforces containment:
 
-- every key a client (``client.py`` *and* its async sibling
-  ``aio.py``) puts in a request body must be parsed somewhere
-  server-side (``request["k"]`` / ``request.get("k")`` in
-  ``server.py`` or ``wire.py``);
+- every key the client side puts in a request body must be parsed
+  somewhere server-side (``request["k"]`` / ``request.get("k")`` in
+  ``server.py`` or ``wire.py``). The endpoint bodies live once in the
+  shared client protocol, ``protocol.py``; the two socket layers,
+  ``client.py`` and ``aio.py``, are scanned too so a body built there
+  cannot slip past;
 - every key a client — or a shared response parser in ``wire.py`` —
   reads out of a parsed response must be produced somewhere
   server-side (a ``_reply(...)`` payload or the ``health()``
@@ -27,6 +29,10 @@ import ast
 from typing import Dict, Iterator, List, Optional
 
 from repro.lint.core import Checker, Finding, Project, SourceFile, register
+
+
+#: Calls whose dict-literal arguments are request bodies.
+_PAYLOAD_CALLS = ("_checked", "_request", "checked_flow", "request_flow")
 
 
 def _service_file(project: Project, basename: str) -> Optional[SourceFile]:
@@ -48,22 +54,27 @@ def _client_sent_keys(sf: SourceFile) -> Dict[str, int]:
     """Key -> first line where the client writes it into a request
     body: dict literals named ``request`` (plus their later
     ``request["k"] = ...`` additions) and dict literals passed
-    directly as a request payload."""
+    directly as a request payload — to a ``_checked``/``_request``
+    method or a ``checked_flow``/``request_flow`` protocol call."""
     keys: Dict[str, int] = {}
 
     def note(key: str, lineno: int) -> None:
         keys.setdefault(key, lineno)
 
     for node in ast.walk(sf.tree):
-        if isinstance(node, ast.Assign):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            # ``request = {...}`` and the annotated
+            # ``request: Dict[str, Any] = {...}`` alike.
+            targets = (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
             named_request = any(
-                isinstance(t, ast.Name) and t.id == "request"
-                for t in node.targets
+                isinstance(t, ast.Name) and t.id == "request" for t in targets
             )
             if named_request and isinstance(node.value, ast.Dict):
                 for key in _dict_keys(node.value):
                     note(key, node.lineno)
-            for target in node.targets:
+            for target in targets:
                 if (
                     isinstance(target, ast.Subscript)
                     and isinstance(target.value, ast.Name)
@@ -74,10 +85,10 @@ def _client_sent_keys(sf: SourceFile) -> Dict[str, int]:
                     note(target.slice.value, node.lineno)
         elif isinstance(node, ast.Call):
             func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in (
-                "_checked",
-                "_request",
-            ):
+            name = func.attr if isinstance(func, ast.Attribute) else (
+                func.id if isinstance(func, ast.Name) else ""
+            )
+            if name in _PAYLOAD_CALLS:
                 for arg in node.args:
                     if isinstance(arg, ast.Dict):
                         for key in _dict_keys(arg):
@@ -146,11 +157,12 @@ class WireSchemaChecker(Checker):
     )
 
     def check(self, project: Project) -> Iterator[Finding]:
-        # Both transports are clients of the same wire format: the
-        # async sibling is held to the identical schema containment.
+        # The shared protocol builds every request body; both socket
+        # layers are held to the identical schema containment too.
         clients = [
             sf
             for sf in (
+                _service_file(project, "protocol.py"),
                 _service_file(project, "client.py"),
                 _service_file(project, "aio.py"),
             )

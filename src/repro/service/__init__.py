@@ -5,12 +5,12 @@ Server side: :class:`EvaluationService` (stdlib ``ThreadingHTTPServer``)
 serves ``POST /evaluate``, ``POST /evaluate_batch`` (many design
 points per round trip, memoized server-side into the cache store),
 ``GET /healthz``, and ``GET/PUT /cache/<key>``.
-Client side: :class:`ServiceClient` (persistent keep-alive
-connections, retry/timeout policy), its coroutine sibling
-:class:`AsyncServiceClient` (one event loop holds a whole fleet's
-requests in flight — the transport of every
-:class:`repro.sweeps.HostPool`),
-:class:`RemoteBackend` (adapts a
+Client side: one socket-free protocol (:mod:`repro.service.protocol`:
+policy, retry loop, request bodies, reply parsers) under two socket
+layers — :class:`ServiceClient` (blocking per-thread keep-alive
+connections) and :class:`AsyncServiceClient` (one event loop holds a
+whole fleet's requests in flight — the transport of every
+:class:`repro.sweeps.HostPool`) — plus :class:`RemoteBackend` (adapts a
 client — or a :class:`repro.sweeps.HostPool` — to ``ArchGymEnv``'s
 ``evaluate`` / ``evaluate_batch`` / ``evaluate_batch_stream`` backend
 hooks), and :func:`RemoteEnv` (attach-and-return convenience). The

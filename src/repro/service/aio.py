@@ -1,121 +1,84 @@
 """Asyncio-native HTTP client for the evaluation service.
 
-:class:`AsyncServiceClient` is the coroutine sibling of
-:class:`~repro.service.client.ServiceClient`: the same REST surface,
-the same retry/timeout/backoff policy, the same typed errors — but
-every request rides :func:`asyncio.open_connection` instead of a
-blocking ``http.client`` socket, so one event loop (and therefore one
-OS thread) can hold hundreds of requests in flight at once. That is
-the scaling step the paper's §6 regime demands: a pool of hundreds of
-simulator hosts driven by thread-per-host workers burns an OS thread
-(and GIL churn) apiece, while the async transport drives the whole
-fleet from a single runner thread.
+:class:`AsyncServiceClient` is the coroutine socket layer under the
+shared client protocol (:mod:`repro.service.protocol`): it runs the
+same flows as :class:`~repro.service.client.ServiceClient`, sending
+attempts over :func:`asyncio.open_connection` (each bounded by
+``timeout_s``) and backing off with ``await asyncio.sleep``, so one
+event loop (one OS thread) holds a whole host fleet's requests in
+flight. It is the transport of every :class:`repro.sweeps.HostPool`.
 
-The wire protocol is hand-rolled HTTP/1.1 — deliberately: the server
+The HTTP/1.1 is hand-rolled, deliberately: the server
 (:mod:`repro.service.server`) always answers with a ``Content-Length``
-header and keep-alive, so request/response framing is a status line,
-a header block, and ``readexactly(content_length)``. No stdlib HTTP
-stack is missing; we already speak this dialect on the sync side.
+header and keep-alive, so a reply is a status line, a header block,
+and ``readexactly(content_length)``.
 
 Connection pool
 ---------------
-Each client keeps a bounded pool of persistent connections to its one
-host: at most ``max_connections`` sockets are ever checked out
-concurrently (an :class:`asyncio.Semaphore`, created lazily inside the
-running loop for 3.9 compatibility), and idle connections are parked
-for reuse. A *stale* socket — the server closed an idle keep-alive
-connection between requests — is re-sent exactly once without
-consuming a retry, mirroring the sync client: the bytes never reached
-a live peer. ``requests_sent`` / ``connections_opened`` count round
-trips and sockets exactly like the sync client's counters (no lock:
-all mutation happens on the owning event loop).
-
-Retry policy
-------------
-Identical to the sync client, coroutine-shaped: transport failures
-(connection refused/reset, timeout, torn body) retry up to ``retries``
-times with exponential backoff capped at ``backoff_cap_s`` total
-sleep (``await asyncio.sleep``), exhaustion raises
-:class:`~repro.core.errors.ServiceTransportError` with the same
-message shape, and server-produced 4xx/5xx bodies are never retried.
-Response bodies are validated through the same
-:mod:`repro.service.wire` parsers the sync client uses, so the two
-transports cannot drift on schema — which is half of what keeps async
-dispatch byte-identical to threaded dispatch.
+Each client parks idle persistent connections to its one host for
+reuse, with at most :data:`MAX_CONNECTIONS` checked out at once (an
+:class:`asyncio.Semaphore`). A reused socket the server has closed in
+the meantime is reported as stale, which the protocol re-sends once
+without consuming a retry. ``requests_sent`` / ``connections_opened``
+mean what they mean on the sync client (no lock: all mutation happens
+on the owning event loop).
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
+import functools
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-from urllib.parse import urlsplit
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
-from repro.core.errors import ServiceError, ServiceTransportError
-from repro.service.wire import (
-    dump_body,
-    jsonify,
-    key_to_token,
-    parse_batch_response,
-    parse_cache_listing,
-    parse_metrics_response,
-)
+from repro.service import protocol
+from repro.service.protocol import ClientCore, Flow, Sleep, StaleSocket, T
 
-__all__ = ["AsyncServiceClient"]
+__all__ = ["AsyncServiceClient", "MAX_CONNECTIONS"]
+
+#: Ceiling on concurrently checked-out sockets per client. The host
+#: pool already serialises each host's requests, so this only bounds
+#: direct concurrent use of one client.
+MAX_CONNECTIONS = 8
 
 
-class _TransportFailure(Exception):
-    """Transport-level failure below the retry policy: malformed
-    framing, a connection that died mid-response — retryable, like an
-    ``OSError`` on the sync side."""
-
-
-class _StaleSocket(_TransportFailure):
-    """A reused keep-alive connection was closed by the server between
-    requests; nothing reached a live peer, so one transparent re-send
-    does not consume a retry (the async twin of the sync client's
-    ``_STALE_SOCKET_ERRORS``)."""
+class _TransportFailure(ConnectionError):
+    """Malformed reply framing: the socket is unusable, and the attempt
+    is retryable like any other connection failure."""
 
 
 #: Exceptions one attempt may raise that the retry loop absorbs.
-#: ``TimeoutError`` covers 3.11+ (where ``asyncio.TimeoutError`` is the
-#: builtin, an ``OSError`` sibling); ``asyncio.TimeoutError`` covers
-#: 3.9/3.10 where it is a distinct class. ``EOFError`` is
-#: ``asyncio.IncompleteReadError``'s base (torn body mid-read).
-_RETRYABLE = (
-    OSError,
-    EOFError,
-    TimeoutError,
-    asyncio.TimeoutError,
-    _TransportFailure,
-)
+#: ``OSError`` covers connection failures (``_TransportFailure`` and
+#: ``StaleSocket`` included) and the builtin ``TimeoutError``;
+#: ``asyncio.TimeoutError`` is a distinct class on 3.10. ``EOFError`` is
+#: ``asyncio.IncompleteReadError``'s base (torn reply mid-read).
+_RETRYABLE = (OSError, EOFError, asyncio.TimeoutError)
 
 
-class _Conn:
+def _coroutine(flow: Callable[..., Flow[T]]) -> Callable[..., Any]:
+    """A coroutine method that runs ``flow`` on the client's loop."""
+
+    @functools.wraps(flow)
+    async def method(self: "AsyncServiceClient", *args: Any, **kwargs: Any) -> T:
+        return await self._drive(flow(self, *args, **kwargs))
+
+    return method
+
+
+class _Conn(NamedTuple):
     """One open connection: a reader/writer pair."""
 
-    __slots__ = ("reader", "writer")
-
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
+    reader: asyncio.StreamReader
+    writer: asyncio.StreamWriter
 
 
-class AsyncServiceClient:
+class AsyncServiceClient(ClientCore):
     """Talk to one evaluation service from an event loop.
 
-    Parameters mirror :class:`~repro.service.client.ServiceClient`
-    (``base_url``, ``timeout_s``, ``retries``, ``backoff_s``,
-    ``backoff_cap_s``) plus:
-
-    max_connections:
-        Ceiling on concurrently checked-out sockets to this host. The
-        pool parks idle connections for keep-alive reuse; a caller
-        needing more than ``max_connections`` simultaneous requests
-        waits on the pool semaphore instead of opening more sockets.
+    Parameters are the shared policy of
+    :class:`~repro.service.protocol.ClientCore`, and every coroutine
+    answers like the :class:`~repro.service.client.ServiceClient`
+    method of the same name.
 
     Single-loop by contract: all coroutines must run on one event
     loop (the pool's runner loop). Counters are plain ints for the
@@ -129,52 +92,13 @@ class AsyncServiceClient:
         retries: int = 2,
         backoff_s: float = 0.05,
         backoff_cap_s: float = 2.0,
-        max_connections: int = 8,
     ) -> None:
-        if not base_url.startswith(("http://", "https://")):
-            raise ServiceError(
-                f"service url must start with http:// or https://, got {base_url!r}"
-            )
-        if timeout_s <= 0:
-            raise ServiceError(f"timeout_s must be > 0, got {timeout_s}")
-        if retries < 0:
-            raise ServiceError(f"retries must be >= 0, got {retries}")
-        if backoff_cap_s < 0:
-            raise ServiceError(f"backoff_cap_s must be >= 0, got {backoff_cap_s}")
-        if max_connections < 1:
-            raise ServiceError(
-                f"max_connections must be >= 1, got {max_connections}"
-            )
-        split = urlsplit(base_url)
-        if not split.netloc:
-            raise ServiceError(f"service url has no host: {base_url!r}")
-        self._scheme = split.scheme
-        self._netloc = split.netloc
-        self._host = split.hostname or ""
-        self._port = split.port or (443 if split.scheme == "https" else 80)
-        self._path_prefix = split.path.rstrip("/")
-        self.base_url = f"{split.scheme}://{split.netloc}{self._path_prefix}"
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.backoff_s = backoff_s
-        self.backoff_cap_s = backoff_cap_s
-        self.max_connections = max_connections
-        #: Round trips attempted (including retries) — same meaning as
-        #: the sync client's counter.
-        self.requests_sent = 0
-        #: Sockets opened; stays low while keep-alive reuse holds.
-        self.connections_opened = 0
+        super().__init__(base_url, timeout_s, retries, backoff_s, backoff_cap_s)
         self._idle: "deque[_Conn]" = deque()
-        # Created lazily inside the running loop: on 3.9 an
-        # asyncio.Semaphore binds its event loop at construction time.
-        self._sem: Optional[asyncio.Semaphore] = None
+        # Binds to the running loop on first contended use (3.10+).
+        self._sem = asyncio.Semaphore(MAX_CONNECTIONS)
 
     # -- connection pool ----------------------------------------------------------
-
-    def _bound(self) -> asyncio.Semaphore:
-        if self._sem is None:
-            self._sem = asyncio.Semaphore(self.max_connections)
-        return self._sem
 
     async def _get_conn(self) -> Tuple[_Conn, bool]:
         """An idle pooled connection (reused) or a fresh one."""
@@ -183,11 +107,11 @@ class AsyncServiceClient:
             if not conn.writer.is_closing():
                 return conn, True
             self._discard(conn)
-        kwargs: Dict[str, Any] = {}
-        if self._scheme == "https":
-            kwargs["ssl"] = True
+        https = self._split.scheme == "https"
         reader, writer = await asyncio.open_connection(
-            self._host, self._port, **kwargs
+            self._split.hostname or "",
+            self._split.port or (443 if https else 80),
+            ssl=True if https else None,
         )
         self.connections_opened += 1
         return _Conn(reader, writer), False
@@ -207,40 +131,37 @@ class AsyncServiceClient:
     # -- transport ----------------------------------------------------------------
 
     async def _roundtrip(
-        self, conn: _Conn, method: str, path: str, body: Optional[bytes],
+        self, conn: _Conn, method: str, target: str, body: Optional[bytes],
         reused: bool,
     ) -> Tuple[int, bytes, bool]:
         """One request/response; returns (status, body, will_close)."""
         self.requests_sent += 1
         payload = body or b""
         head = (
-            f"{method} {self._path_prefix + path} HTTP/1.1\r\n"
-            f"Host: {self._netloc}\r\n"
+            f"{method} {target} HTTP/1.1\r\n"
+            f"Host: {self._split.netloc}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(payload)}\r\n"
             "\r\n"
         ).encode("ascii")
         conn.writer.write(head + payload)
         await conn.writer.drain()
-        status_line = await conn.reader.readline()
-        if not status_line:
-            if reused:
+        try:
+            head_block = await conn.reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError as exc:
+            if reused and not exc.partial:
                 # The server closed the idle socket between requests.
-                raise _StaleSocket("connection closed before the status line")
-            raise _TransportFailure("no status line from a fresh connection")
-        parts = status_line.decode("latin-1").split(None, 2)
+                raise StaleSocket("connection closed before the status line")
+            raise
+        status_line, *header_lines = head_block[:-4].decode("latin-1").split("\r\n")
+        parts = status_line.split(None, 2)
         if len(parts) < 2 or not parts[1].isdigit():
             raise _TransportFailure(f"malformed status line {status_line!r}")
         status = int(parts[1])
         http10 = parts[0].upper().startswith("HTTP/1.0")
         headers: Dict[str, str] = {}
-        while True:
-            line = await conn.reader.readline()
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                raise _TransportFailure("connection closed mid-headers")
-            name, _, value = line.decode("latin-1").partition(":")
+        for line in header_lines:
+            name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         length_text = headers.get("content-length")
         if length_text is None or not length_text.isdigit():
@@ -255,30 +176,18 @@ class AsyncServiceClient:
         return status, raw, will_close
 
     async def _send(
-        self, method: str, path: str, body: Optional[bytes]
+        self, method: str, target: str, body: Optional[bytes]
     ) -> Tuple[int, bytes]:
-        """One attempt, with the free stale-socket re-send."""
-        async with self._bound():
+        """One attempt on a pooled socket."""
+        async with self._sem:
             conn, reused = await self._get_conn()
             try:
                 status, raw, will_close = await self._roundtrip(
-                    conn, method, path, body, reused
+                    conn, method, target, body, reused
                 )
-            except _StaleSocket:
-                self._discard(conn)
-                # _StaleSocket is only raised on a reused connection:
-                # re-send once on a fresh socket, not as a retry.
-                conn, _ = await self._get_conn()
-                try:
-                    status, raw, will_close = await self._roundtrip(
-                        conn, method, path, body, False
-                    )
-                except BaseException:
-                    self._discard(conn)
-                    raise
             except BaseException:
-                # Timeout cancellation, ConnectionReset, torn read —
-                # the socket's state is unknown; never park it.
+                # Timeout cancellation, stale or reset socket, torn
+                # read — the socket's state is unknown; never park it.
                 self._discard(conn)
                 raise
             if will_close:
@@ -287,145 +196,29 @@ class AsyncServiceClient:
                 self._idle.append(conn)
             return status, raw
 
-    async def _request(
-        self, method: str, path: str, payload: Optional[Dict[str, Any]] = None
-    ) -> Tuple[int, Dict[str, Any]]:
-        """One API call under the retry policy; returns (status, body).
-
-        Mirrors the sync client's loop line for line: capped
-        exponential backoff, transport failures and torn success
-        bodies retried, server-produced non-JSON error bodies not.
-        """
-        body = dump_body(payload) if payload is not None else None
-        attempts = self.retries + 1
-        slept_total = 0.0
-        last_error: Optional[BaseException] = None
-        for attempt in range(attempts):
-            if attempt:
-                delay = min(
-                    self.backoff_s * (2 ** (attempt - 1)),
-                    self.backoff_cap_s - slept_total,
-                )
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                    slept_total += delay
+    async def _drive(self, flow: Flow[T]) -> T:
+        """Run one protocol flow on this loop's pooled sockets."""
+        reply: Any = None
+        while True:
             try:
-                status, raw = await asyncio.wait_for(
-                    self._send(method, path, body), self.timeout_s
-                )
+                effect = flow.send(reply)
+            except StopIteration as done:
+                return done.value
+            reply = None
+            if isinstance(effect, Sleep):
+                await asyncio.sleep(effect.delay)
+                continue
+            try:
+                reply = await asyncio.wait_for(self._send(*effect), self.timeout_s)
             except _RETRYABLE as exc:
-                last_error = exc
-                continue
-            try:
-                parsed = json.loads(raw.decode("utf-8")) if raw else {}
-            except (ValueError, UnicodeDecodeError) as exc:
-                if status >= 400:
-                    return status, {
-                        "error": raw[:200].decode("utf-8", errors="replace")
-                    }
-                last_error = exc
-                continue
-            if not isinstance(parsed, dict):
-                if status >= 400:
-                    return status, {"error": str(parsed)}
-                last_error = ValueError(f"expected a JSON object, got {parsed!r}")
-                continue
-            return status, parsed
-        raise ServiceTransportError(
-            f"{method} {self.base_url + path} failed after {attempts} attempt(s) "
-            f"(timeout {self.timeout_s}s/attempt): {last_error!r}"
-        )
-
-    async def _checked(
-        self, method: str, path: str, payload: Optional[Dict[str, Any]] = None
-    ) -> Dict[str, Any]:
-        status, parsed = await self._request(method, path, payload)
-        if status >= 400:
-            raise ServiceError(
-                f"{method} {self.base_url + path} -> HTTP {status}: "
-                f"{parsed.get('error', parsed)}"
-            )
-        return parsed
+                reply = exc  # the protocol's retry loop decides
 
     # -- API ----------------------------------------------------------------------
 
-    async def healthz(self) -> Dict[str, Any]:
-        """The server's liveness/inventory document."""
-        return await self._checked("GET", "/healthz")
-
-    async def evaluate(
-        self,
-        env: str,
-        action: Dict[str, Any],
-        env_kwargs: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, float]:
-        """Evaluate one design point on the server's ``env``."""
-        request: Dict[str, Any] = {"env": env, "action": jsonify(action)}
-        if env_kwargs:
-            request["kwargs"] = jsonify(env_kwargs)
-        parsed = await self._checked("POST", "/evaluate", request)
-        return parse_metrics_response(parsed, f"evaluate response for env {env!r}")
-
-    async def evaluate_batch(
-        self,
-        env: str,
-        actions: Sequence[Dict[str, Any]],
-        env_kwargs: Optional[Dict[str, Any]] = None,
-        memoize: bool = True,
-    ) -> List[Dict[str, float]]:
-        """Evaluate many design points in one round trip (request
-        order in, request order out — the same contract as the sync
-        client, down to the parser that validates the reply)."""
-        if not actions:
-            raise ServiceError("evaluate_batch needs at least one action")
-        request: Dict[str, Any] = {
-            "env": env,
-            "actions": [jsonify(a) for a in actions],
-        }
-        if env_kwargs:
-            request["kwargs"] = jsonify(env_kwargs)
-        if not memoize:
-            request["memoize"] = False
-        parsed = await self._checked("POST", "/evaluate_batch", request)
-        return parse_batch_response(parsed, env, len(actions))
-
-    async def cache_get(self, key_str: str) -> Optional[Dict[str, float]]:
-        """Server-cache lookup by encoded key; ``None`` on a miss."""
-        status, parsed = await self._request(
-            "GET", f"/cache/{key_to_token(key_str)}"
-        )
-        if status == 404:
-            return None
-        if status >= 400:
-            raise ServiceError(
-                f"cache GET -> HTTP {status}: {parsed.get('error', parsed)}"
-            )
-        return parse_metrics_response(parsed, "cache response")
-
-    async def cache_put(self, key_str: str, metrics: Dict[str, float]) -> None:
-        """Store one entry in the server cache."""
-        await self._checked(
-            "PUT", f"/cache/{key_to_token(key_str)}", {"metrics": jsonify(metrics)}
-        )
-
-    async def cache_size(self) -> int:
-        """Distinct keys currently held by the server cache."""
-        parsed = await self._checked("GET", "/cache")
-        return int(parsed.get("size", 0))
-
-    async def cache_list(
-        self, offset: int = 0, limit: int = 500
-    ) -> Tuple[List[Tuple[str, Dict[str, float]]], int]:
-        """One page of the server cache in sorted-key order — the same
-        ``(entries, total)`` pagination contract as the sync client
-        (what the pool's async anti-entropy backfill walks)."""
-        parsed = await self._checked(
-            "GET", f"/cache?offset={int(offset)}&limit={int(limit)}"
-        )
-        return parse_cache_listing(parsed)
-
-    def __repr__(self) -> str:
-        return (
-            f"AsyncServiceClient(base_url={self.base_url!r}, "
-            f"timeout_s={self.timeout_s}, retries={self.retries})"
-        )
+    healthz = _coroutine(protocol.healthz)
+    evaluate = _coroutine(protocol.evaluate)
+    evaluate_batch = _coroutine(protocol.evaluate_batch)
+    cache_get = _coroutine(protocol.cache_get)
+    cache_put = _coroutine(protocol.cache_put)
+    cache_size = _coroutine(protocol.cache_size)
+    cache_list = _coroutine(protocol.cache_list)

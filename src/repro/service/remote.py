@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Sequence, Union
 
 from repro.core.env import ArchGymEnv
+from repro.core.errors import ServiceError
 from repro.service.client import ServiceClient
 
 __all__ = ["RemoteBackend", "RemoteEnv"]
@@ -41,7 +42,8 @@ class RemoteBackend:
         (a multi-host pool with least-load scheduling and failover),
         or an existing :class:`ServiceClient` /
         :class:`~repro.sweeps.hostpool.HostPool` (whose retry/timeout
-        policy is reused).
+        policy is reused; passing ``weights``, ``auto_weights`` or
+        ``client_kwargs`` alongside one raises :class:`ServiceError`).
     env_kwargs:
         Environment construction arguments (workload, objective, …)
         forwarded with every request, so the server instantiates the
@@ -90,6 +92,17 @@ class RemoteBackend:
                     **client_kwargs,
                 )
         else:  # a ready-made ServiceClient or HostPool: policy is theirs
+            ignored = sorted(client_kwargs)
+            if weights is not None:
+                ignored.append("weights")
+            if auto_weights:
+                ignored.append("auto_weights")
+            if ignored:
+                raise ServiceError(
+                    f"{', '.join(ignored)} cannot be combined with a ready-made "
+                    "client or pool — its own policy would silently win; set "
+                    "it on the client or pool instead"
+                )
             self.client = service
         self.env_kwargs = dict(env_kwargs) if env_kwargs else None
         self.batch = batch

@@ -447,6 +447,32 @@ class TestWireSchema:
         assert "aio.py" in result.findings[0].path
         assert "'mystery'" in result.findings[0].message
 
+    def test_shared_protocol_flow_held_to_same_schema(self, tmp_path):
+        """Endpoint bodies live once in protocol.py as generator flows:
+        an annotated ``request`` dict and a payload passed straight to
+        ``checked_flow`` are both request bodies."""
+        files = wire_tree()
+        files["service/protocol.py"] = """
+            from typing import Any, Dict
+
+            def evaluate(client, env, action, env_kwargs=None):
+                request: Dict[str, Any] = {"env": env, "mystery": action}
+                parsed = yield from checked_flow(
+                    client, "POST", "/evaluate", request
+                )
+                return parsed.get("metrics")
+
+            def cache_put(client, key_str, metrics):
+                yield from checked_flow(
+                    client, "PUT", f"/cache/{key_str}", {"drifted": metrics}
+                )
+        """
+        result = lint_tree(tmp_path, files, "wire-schema")
+        assert rules(result) == ["wire-schema", "wire-schema"]
+        assert all("protocol.py" in f.path for f in result.findings)
+        assert "'mystery'" in result.findings[0].message
+        assert "'drifted'" in result.findings[1].message
+
     def test_shared_wire_parser_reads_checked(self, tmp_path):
         files = wire_tree()
         files["service/wire.py"] = """

@@ -16,6 +16,8 @@ Three load-bearing guarantees:
    the failing trial; never a hang, never a silently wrong metric.
 """
 
+import asyncio
+import inspect
 import socket
 import threading
 import time
@@ -28,7 +30,14 @@ from repro.core.env import ArchGymEnv, canonical_action_key
 from repro.core.errors import ServiceError, ServiceTransportError
 from repro.core.rewards import TargetReward
 from repro.core.spaces import Categorical, CompositeSpace, Discrete
-from repro.service import EvaluationService, RemoteBackend, RemoteEnv, ServiceClient
+from repro.service import (
+    AsyncServiceClient,
+    EvaluationService,
+    RemoteBackend,
+    RemoteEnv,
+    ServiceClient,
+)
+from repro.service.protocol import request_flow
 from repro.service.wire import key_to_token, token_to_key
 from repro.sweeps import run_lottery_sweep
 
@@ -99,6 +108,78 @@ def _free_port() -> int:
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
+
+
+class _LoopBoundClient:
+    """Blocking view of an :class:`AsyncServiceClient`: every coroutine
+    method runs to completion on one private event loop, so pooled
+    connections never cross loops and the transport-contract tests
+    read the same for both clients."""
+
+    def __init__(self, loop, aio):
+        self._loop = loop
+        self.aio = aio
+
+    def __getattr__(self, name):
+        attr = getattr(self.aio, name)
+        if not inspect.iscoroutinefunction(attr):
+            return attr
+        return lambda *args, **kwargs: self._loop.run_until_complete(
+            attr(*args, **kwargs)
+        )
+
+    def _request(self, method, path, payload=None):
+        return self._loop.run_until_complete(
+            self.aio._drive(request_flow(self.aio, method, path, payload))
+        )
+
+
+class _Transport:
+    """Builds one kind of client and patches the sleep its driver
+    backs off with."""
+
+    def __init__(self, kind):
+        self._loop = asyncio.new_event_loop() if kind == "async" else None
+        self._clients = []
+
+    def client(self, url, **policy):
+        if self._loop is None:
+            client = ServiceClient(url, **policy)
+        else:
+            client = _LoopBoundClient(self._loop, AsyncServiceClient(url, **policy))
+        self._clients.append(client)
+        return client
+
+    def patch_sleep(self, monkeypatch, record):
+        """Route every backoff sleep to ``record(delay)`` instead."""
+        if self._loop is None:
+            monkeypatch.setattr("repro.service.client.time.sleep", record)
+            return
+
+        async def sleep(delay):
+            record(delay)
+
+        monkeypatch.setattr("repro.service.aio.asyncio.sleep", sleep)
+
+    def close(self):
+        for client in self._clients:
+            client.close()
+        if self._loop is not None:
+            self._loop.close()
+
+
+@pytest.fixture()
+def transport(request):
+    """The client transport under test: ``sync`` (:class:`ServiceClient`)
+    unless a class parametrizes it to ``async``
+    (:class:`AsyncServiceClient` behind :class:`_LoopBoundClient`)."""
+    kind = _Transport(getattr(request, "param", "sync"))
+    yield kind
+    kind.close()
+
+
+#: Class decorator: rerun a transport-contract battery on the async client.
+on_async_transport = pytest.mark.parametrize("transport", ["async"], indirect=True)
 
 
 class TestWireFormat:
@@ -402,15 +483,15 @@ class TestKeepAlive:
     """The connection-reuse contract: one socket per thread for a whole
     request stream, with a free (non-retry) re-send on a stale socket."""
 
-    def test_many_requests_one_connection(self, service):
-        client = ServiceClient(service.url, timeout_s=10.0, retries=0)
+    def test_many_requests_one_connection(self, service, transport):
+        client = transport.client(service.url, timeout_s=10.0, retries=0)
         for i in range(20):
             client.evaluate("SvcCounting-v0", {"x": i % 8, "m": "a"})
         assert client.connections_opened == 1
         assert client.requests_sent == 20
 
-    def test_mixed_verbs_share_the_connection(self, service):
-        client = ServiceClient(service.url, timeout_s=10.0, retries=0)
+    def test_mixed_verbs_share_the_connection(self, service, transport):
+        client = transport.client(service.url, timeout_s=10.0, retries=0)
         client.healthz()
         client.evaluate("SvcCounting-v0", {"x": 1, "m": "a"})
         client.cache_put("k", {"cost": 1.0})
@@ -418,7 +499,7 @@ class TestKeepAlive:
         client.cache_size()
         assert client.connections_opened == 1
 
-    def test_stale_socket_reconnects_without_burning_a_retry(self):
+    def test_stale_socket_reconnects_without_burning_a_retry(self, transport):
         """Server restarts between requests: the idle keep-alive socket
         is dead, and even a retries=0 client must transparently
         reconnect — the request bytes never reached a live peer."""
@@ -426,7 +507,7 @@ class TestKeepAlive:
         svc1.register("SvcCounting-v0", SvcCountingEnv)
         svc1.start()
         port = svc1.port
-        client = ServiceClient(svc1.url, timeout_s=10.0, retries=0)
+        client = transport.client(svc1.url, timeout_s=10.0, retries=0)
         expected = client.evaluate("SvcCounting-v0", {"x": 1, "m": "a"})
         svc1.stop()
         svc2 = EvaluationService(port=port)
@@ -439,12 +520,14 @@ class TestKeepAlive:
         finally:
             svc2.stop()
 
-    def test_early_error_reply_does_not_desync_the_connection(self, service):
+    def test_early_error_reply_does_not_desync_the_connection(
+        self, service, transport
+    ):
         """An error reply sent before the request body was read (404
         route, malformed token) must drain the body — otherwise the
         leftover bytes parse as the next request and poison every
         later request on the keep-alive socket."""
-        client = ServiceClient(service.url, timeout_s=10.0, retries=0)
+        client = transport.client(service.url, timeout_s=10.0, retries=0)
         status, _ = client._request("POST", "/no-such-route", {"pad": "x" * 256})
         assert status == 404
         status, _ = client._request("PUT", "/cache/!!bad-token!!", {"m": {}})
@@ -454,10 +537,10 @@ class TestKeepAlive:
         assert result == SvcCountingEnv().evaluate({"x": 1, "m": "a"})
         assert client.connections_opened == 1
 
-    def test_stop_closes_live_keepalive_connections(self, service):
+    def test_stop_closes_live_keepalive_connections(self, service, transport):
         """A stopped server must be *dead* to its connected clients —
         not quietly kept alive by a blocked handler thread."""
-        client = ServiceClient(
+        client = transport.client(
             service.url, timeout_s=2.0, retries=0, backoff_s=0.01
         )
         client.evaluate("SvcCounting-v0", {"x": 1, "m": "a"})  # connect
@@ -466,25 +549,31 @@ class TestKeepAlive:
             client.evaluate("SvcCounting-v0", {"x": 2, "m": "a"})
 
 
+@on_async_transport
+class TestKeepAliveAsync(TestKeepAlive):
+    """The same contract on :class:`AsyncServiceClient`'s pooled
+    sockets."""
+
+
 class TestRetryPolicy:
     """Backoff discipline: applied after every retryable failure,
     capped in total, and absent entirely for retries=0."""
 
-    def test_zero_retries_never_sleeps(self, monkeypatch):
+    def test_zero_retries_never_sleeps(self, monkeypatch, transport):
         def forbidden_sleep(_):
             raise AssertionError("retries=0 client slept")
 
-        monkeypatch.setattr("repro.service.client.time.sleep", forbidden_sleep)
-        client = ServiceClient(
+        transport.patch_sleep(monkeypatch, forbidden_sleep)
+        client = transport.client(
             f"http://127.0.0.1:{_free_port()}", timeout_s=0.5, retries=0
         )
         with pytest.raises(ServiceTransportError, match="after 1 attempt"):
             client.healthz()
 
-    def test_total_backoff_is_capped(self, monkeypatch):
+    def test_total_backoff_is_capped(self, monkeypatch, transport):
         sleeps = []
-        monkeypatch.setattr("repro.service.client.time.sleep", sleeps.append)
-        client = ServiceClient(
+        transport.patch_sleep(monkeypatch, sleeps.append)
+        client = transport.client(
             f"http://127.0.0.1:{_free_port()}",
             timeout_s=0.5, retries=10, backoff_s=0.5, backoff_cap_s=1.0,
         )
@@ -492,27 +581,39 @@ class TestRetryPolicy:
             client.healthz()
         assert sum(sleeps) <= 1.0 + 1e-9
         assert all(s > 0 for s in sleeps)  # zero-length sleeps are skipped
+        assert sleeps == [0.5, 0.5]
 
-    def test_transport_exhaustion_is_typed(self):
+    def test_transport_exhaustion_is_typed(self, transport):
         """Exhaustion raises ServiceTransportError — the failover
         signal — which is still a ServiceError for existing callers."""
-        client = ServiceClient(
+        client = transport.client(
             f"http://127.0.0.1:{_free_port()}", timeout_s=0.5, retries=0
         )
         with pytest.raises(ServiceTransportError):
             client.healthz()
         assert issubclass(ServiceTransportError, ServiceError)
 
-    def test_server_produced_errors_are_not_transport_errors(self, client):
+    def test_server_produced_errors_are_not_transport_errors(
+        self, service, transport
+    ):
         """A 4xx the server answered must raise plain ServiceError:
         failing it over to another host would be pointless."""
+        client = transport.client(
+            service.url, timeout_s=10.0, retries=1, backoff_s=0.01
+        )
         with pytest.raises(ServiceError) as excinfo:
             client.evaluate("Nope-v0", {"x": 1})
         assert not isinstance(excinfo.value, ServiceTransportError)
 
-    def test_bad_backoff_cap_rejected(self):
+    def test_bad_backoff_cap_rejected(self, transport):
         with pytest.raises(ServiceError, match="backoff_cap_s"):
-            ServiceClient("http://127.0.0.1:1", backoff_cap_s=-1.0)
+            transport.client("http://127.0.0.1:1", backoff_cap_s=-1.0)
+
+
+@on_async_transport
+class TestRetryPolicyAsync(TestRetryPolicy):
+    """The same discipline on :class:`AsyncServiceClient`, whose driver
+    backs off with ``asyncio.sleep``."""
 
 
 class TestRemoteBackend:
@@ -542,6 +643,19 @@ class TestRemoteBackend:
         env.reset(seed=0)
         env.step({"x": 2, "m": "b"})
         assert env.evaluations == 1 and env.stats.remote_evals == 0
+
+    @pytest.mark.parametrize(
+        "ignored",
+        [{"timeout_s": 1.0}, {"weights": [1.0]}, {"auto_weights": True}],
+        ids=["client_kwargs", "weights", "auto_weights"],
+    )
+    def test_policy_next_to_a_ready_made_client_rejected(self, ignored):
+        """Policy passed beside a ready-made client or pool would be
+        silently dropped: the client's own policy wins."""
+        client = ServiceClient("http://127.0.0.1:1")
+        with pytest.raises(ServiceError, match=next(iter(ignored))):
+            RemoteBackend(client, **ignored)
+        assert RemoteBackend(client).client is client
 
     def test_env_kwargs_forwarded(self, service):
         local = SvcCountingEnv(scale=3.0)
@@ -714,8 +828,8 @@ def misbehaving_server(request):
 
 
 class TestFaultInjection:
-    def test_connection_refused_is_service_error(self):
-        client = ServiceClient(
+    def test_connection_refused_is_service_error(self, transport):
+        client = transport.client(
             f"http://127.0.0.1:{_free_port()}",
             timeout_s=2.0, retries=1, backoff_s=0.01,
         )
@@ -725,8 +839,8 @@ class TestFaultInjection:
     @pytest.mark.parametrize(
         "misbehaving_server", [_TornBodyHandler], indirect=True
     )
-    def test_torn_body_is_service_error(self, misbehaving_server):
-        client = ServiceClient(
+    def test_torn_body_is_service_error(self, misbehaving_server, transport):
+        client = transport.client(
             misbehaving_server, timeout_s=2.0, retries=1, backoff_s=0.01
         )
         with pytest.raises(ServiceError, match="after 2 attempt"):
@@ -738,13 +852,13 @@ class TestFaultInjection:
         "misbehaving_server", [_TornBodyHandler], indirect=True
     )
     def test_backoff_applies_after_parse_failures_too(
-        self, misbehaving_server, monkeypatch
+        self, misbehaving_server, monkeypatch, transport
     ):
         """A body that does not parse is retried *with* backoff — the
         same discipline as a connection failure."""
         sleeps = []
-        monkeypatch.setattr("repro.service.client.time.sleep", sleeps.append)
-        client = ServiceClient(
+        transport.patch_sleep(monkeypatch, sleeps.append)
+        client = transport.client(
             misbehaving_server, timeout_s=2.0, retries=2, backoff_s=0.01
         )
         with pytest.raises(ServiceTransportError, match="after 3 attempt"):
@@ -753,8 +867,8 @@ class TestFaultInjection:
         assert sleeps == [0.01, 0.02]
 
     @pytest.mark.parametrize("misbehaving_server", [_SlowHandler], indirect=True)
-    def test_slow_response_hits_timeout_not_hang(self, misbehaving_server):
-        client = ServiceClient(
+    def test_slow_response_hits_timeout_not_hang(self, misbehaving_server, transport):
+        client = transport.client(
             misbehaving_server, timeout_s=0.3, retries=0, backoff_s=0.01
         )
         start = time.perf_counter()
@@ -763,16 +877,25 @@ class TestFaultInjection:
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"timeout took {elapsed:.1f}s — client hung"
 
-    def test_invalid_url_rejected_up_front(self):
+    def test_invalid_url_rejected_up_front(self, transport):
         with pytest.raises(ServiceError, match="http"):
-            ServiceClient("ftp://example.com")
+            transport.client("ftp://example.com")
 
-    def test_bad_retry_config_rejected(self):
+    def test_bad_retry_config_rejected(self, transport):
         with pytest.raises(ServiceError):
-            ServiceClient("http://127.0.0.1:1", timeout_s=0)
+            transport.client("http://127.0.0.1:1", timeout_s=0)
         with pytest.raises(ServiceError):
-            ServiceClient("http://127.0.0.1:1", retries=-1)
+            transport.client("http://127.0.0.1:1", retries=-1)
+        with pytest.raises(ServiceError, match="backoff_s must be >= 0"):
+            transport.client("http://127.0.0.1:1", backoff_s=-0.1)
 
+
+@on_async_transport
+class TestFaultInjectionAsync(TestFaultInjection):
+    """The transport-level faults, on :class:`AsyncServiceClient`."""
+
+
+class TestMidSweepFailure:
     def test_mid_sweep_server_death_names_the_trial(self):
         """The server dies partway through trial rw/0: the sweep must
         fail with a ServiceError identifying that trial — promptly,
