@@ -339,6 +339,13 @@ def run_agent(
     ``proxy_min_corpus`` points *and* validation RMSE clears the
     proxy's gate, the driver falls back to plain dispatch —
     byte-identical to ``proxy_screen=False``.
+
+    The batched modes share one dispatch block per round: plain
+    dispatch is the screened path with the pool cut to the remaining
+    budget, every index accepted and nothing predicted. Only the
+    ranking stage and the ``proxy_*`` counters are screen-specific.
+    The serial ``env.step`` loop (``generation_dispatch=False``) stays
+    separate: it is the oracle the batched modes must reproduce.
     """
     if n_samples < 1:
         raise AgentError("n_samples must be >= 1")
@@ -445,63 +452,43 @@ def run_agent(
                 proxy.maybe_refit()
                 screen = proxy.ready and len(proposals) > 1
 
-            if not screen:
-                # Plain dispatch (no proxy, or cold start).
-                # A generation larger than the remaining budget is cut to
-                # it — the serial loop would have stopped mid-generation at
-                # exactly this point.
-                proposals = proposals[:remaining]
-                step_results = (
-                    env.step_batch_stream(proposals) if pipeline
-                    else env.step_batch(proposals)
+            if screen:
+                # -- oversample-and-rank -------------------------------
+                # The whole proposed generation is the candidate pool;
+                # only the proxy's top-k (plus the honesty-refresh
+                # slice) is really simulated, so each unit of sample
+                # budget screens ``oversample×`` candidates.
+                pool = proposals
+                k = (
+                    proxy_topk if proxy_topk is not None
+                    else max(1, math.ceil(len(pool) / proxy_oversample))
                 )
-                fitnesses: List[float] = []
-                metrics_list: List[Dict[str, float]] = []
-                terminated = truncated = False
-                for action, step_result in zip(proposals, step_results):
-                    __, reward, terminated, truncated, info = step_result
-                    fitnesses.append(absorb(action, reward, info))
-                    metrics_list.append(info["metrics"])
-                    if proxy is not None:
-                        proxy.observe(action, info["metrics"])
-                agent.observe_batch(proposals, fitnesses, metrics_list)
-                remaining -= len(proposals)
-
-                # step_batch resets mid-batch episode ends itself; a batch
-                # whose *final* point closed an episode leaves the reset to
-                # the driver, exactly like the serial loop below.
-                if terminated or truncated:
-                    env.reset()
-                continue
-
-            # -- oversample-and-rank ----------------------------------
-            # The whole proposed generation is the candidate pool; only
-            # the proxy's top-k (plus the honesty-refresh slice) is
-            # really simulated, so each unit of sample budget screens
-            # ``oversample×`` candidates.
-            pool = proposals
-            k = (
-                proxy_topk if proxy_topk is not None
-                else max(1, math.ceil(len(pool) / proxy_oversample))
-            )
-            k = min(k, len(pool))
-            predictions = proxy.predict_batch(pool)
-            pred_fitness = [predicted_fitness(m) for m in predictions]
-            # Best-first by predicted fitness; ties break by proposal
-            # index so the ranking is deterministic.
-            order = sorted(
-                range(len(pool)), key=lambda i: (-pred_fitness[i], i)
-            )
-            accepted = set(order[:k])
-            rejected = [i for i in range(len(pool)) if i not in accepted]
-            refresh: set = set()
-            if rejected and proxy_refresh > 0.0:
-                n_refresh = min(len(rejected), math.ceil(proxy_refresh * k))
-                picks = refresh_rng.choice(
-                    len(rejected), size=n_refresh, replace=False
+                k = min(k, len(pool))
+                predictions = proxy.predict_batch(pool)
+                pred_fitness = [predicted_fitness(m) for m in predictions]
+                # Best-first by predicted fitness; ties break by proposal
+                # index so the ranking is deterministic.
+                order = sorted(
+                    range(len(pool)), key=lambda i: (-pred_fitness[i], i)
                 )
-                refresh = {rejected[int(j)] for j in picks}
-            eval_idx = sorted(accepted | refresh)[:remaining]
+                accepted = set(order[:k])
+                rejected = [i for i in range(len(pool)) if i not in accepted]
+                refresh: set = set()
+                if rejected and proxy_refresh > 0.0:
+                    n_refresh = min(len(rejected), math.ceil(proxy_refresh * k))
+                    picks = refresh_rng.choice(
+                        len(rejected), size=n_refresh, replace=False
+                    )
+                    refresh = {rejected[int(j)] for j in picks}
+                eval_idx = sorted(accepted | refresh)[:remaining]
+            else:
+                # Plain dispatch (no proxy, or cold start) is the screened
+                # path with every proposal accepted and none predicted. A
+                # generation larger than the remaining budget is cut to
+                # it — the serial loop would have stopped mid-generation
+                # at exactly this point.
+                pool = proposals[:remaining]
+                eval_idx = list(range(len(pool)))
             eval_actions = [pool[i] for i in eval_idx]
             step_results = (
                 env.step_batch_stream(eval_actions) if pipeline
@@ -511,26 +498,33 @@ def run_agent(
             terminated = truncated = False
             for i, step_result in zip(eval_idx, step_results):
                 __, reward, terminated, truncated, info = step_result
-                real[i] = (absorb(pool[i], reward, info), dict(info["metrics"]))
-                proxy.observe(pool[i], info["metrics"])
-            env.stats.proxy_screened += len(pool)
-            env.stats.proxy_accepted += len(eval_idx)
-            env.stats.proxy_refresh_evals += sum(
-                1 for i in eval_idx if i in refresh
-            )
-            env.stats.proxy_last_rmse = proxy.last_rmse
+                real[i] = (absorb(pool[i], reward, info), info["metrics"])
+                if proxy is not None:
+                    proxy.observe(pool[i], info["metrics"])
+            if screen:
+                env.stats.proxy_screened += len(pool)
+                env.stats.proxy_accepted += len(eval_idx)
+                env.stats.proxy_refresh_evals += sum(
+                    1 for i in eval_idx if i in refresh
+                )
+                env.stats.proxy_last_rmse = proxy.last_rmse
             # The agent observes the full generation in proposal order:
             # ground truth where simulated, the surrogate's prediction
             # elsewhere. The incumbent/result bookkeeping (absorb) only
             # ever saw real evaluations.
-            fitnesses = []
-            metrics_list = []
+            fitnesses: List[float] = []
+            metrics_list: List[Dict[str, float]] = []
             for i in range(len(pool)):
-                fitness, metrics = real.get(i, (pred_fitness[i], predictions[i]))
+                fitness, metrics = real[i] if i in real else (
+                    pred_fitness[i], predictions[i]
+                )
                 fitnesses.append(fitness)
                 metrics_list.append(metrics)
             agent.observe_batch(pool, fitnesses, metrics_list)
             remaining -= len(eval_idx)
+            # step_batch resets mid-batch episode ends itself; a batch
+            # whose *final* point closed an episode leaves the reset to
+            # the driver, exactly like the serial loop below.
             if terminated or truncated:
                 env.reset()
     else:

@@ -33,15 +33,19 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from itertools import islice
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -61,6 +65,9 @@ Observation = np.ndarray
 StepResult = Tuple[Observation, float, bool, bool, Dict[str, Any]]
 
 ActionKey = Tuple[Tuple[str, Any], ...]
+#: ``(start_index, metrics_list)``: metrics for a contiguous run of the
+#: design points sent to a dispatch.
+Chunk = Tuple[int, List[Dict[str, float]]]
 
 
 def _freeze(value: Any) -> Any:
@@ -262,7 +269,7 @@ class ArchGymEnv:
 
     def _dispatch_evaluate_batch_stream(
         self, actions: Sequence[Mapping[str, Any]]
-    ) -> Iterator[Tuple[int, List[Dict[str, float]]]]:
+    ) -> Iterator[Chunk]:
         """Streaming variant of :meth:`_dispatch_evaluate_batch`:
         yields ``(start_index, metrics_list)`` chunks as the backend
         finishes them, in **arrival** order.
@@ -400,81 +407,20 @@ class ArchGymEnv:
         return observation, {"env_id": self.env_id}
 
     def step(self, action: Mapping[str, Any]) -> StepResult:
-        """Evaluate one design point and return the gym 5-tuple."""
-        if self._needs_reset:
-            raise EnvironmentError_("call reset() before step()")
-        try:
-            self.action_space.validate(action)
-        except Exception as exc:
-            raise InvalidActionError(str(exc)) from exc
+        """Evaluate one design point and return the gym 5-tuple.
 
-        key = (
-            canonical_action_key(action)
-            if self._eval_cache is not None or self._shared_cache is not None
-            else None
+        A one-point run of the step core all three entry points share
+        (:meth:`_run_steps`): a point no cache tier answers goes to the
+        cost model through the single-point dispatch (``POST /evaluate``
+        on a remote backend), and the bookkeeping — cache counters,
+        reward, episode flags, the dataset row — is :meth:`_replay_point`.
+        The cache work is O(1): the decision pass never copies the LRU.
+        """
+        (result,) = self._run_steps(
+            [action], "step",
+            lambda misses: [(0, [self._dispatch_evaluate(misses[0])])],
         )
-        metrics: Optional[Dict[str, float]] = None
-        if self._eval_cache is not None and key is not None:
-            cached = self._eval_cache.get(key)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                self._eval_cache.move_to_end(key)
-                metrics = dict(cached)
-        if metrics is None and self._shared_cache is not None and key is not None:
-            shared = self._shared_cache.get(key)
-            if shared is not None:
-                self.stats.shared_cache_hits += 1
-                metrics = dict(shared)
-                self._remember_local(key, shared)
-        if metrics is None:
-            start = time.perf_counter()
-            metrics = self._dispatch_evaluate(action)
-            self.stats.total_sim_time += time.perf_counter() - start
-
-            missing = [m for m in self.observation_metrics if m not in metrics]
-            if missing:
-                raise EnvironmentError_(
-                    f"cost model did not report metrics {missing}; got {sorted(metrics)}"
-                )
-            if key is not None:
-                self.stats.cache_misses += 1
-                clean = {k: float(v) for k, v in metrics.items()}
-                self._remember_local(key, clean)
-                if self._shared_cache is not None:
-                    self._shared_cache.put(key, clean)
-
-        reward = self.reward_spec.compute(metrics)
-        observation = np.array(
-            [metrics[m] for m in self.observation_metrics], dtype=np.float64
-        )
-
-        self._steps_in_episode += 1
-        self.stats.total_steps += 1
-
-        target_met = self.reward_spec.meets_target(metrics)
-        terminated = bool(self.terminate_on_target and target_met)
-        truncated = self._steps_in_episode >= self.episode_length
-        if terminated or truncated:
-            self._needs_reset = True
-
-        info: Dict[str, Any] = {
-            "metrics": dict(metrics),
-            "target_met": target_met,
-            "step": self._steps_in_episode,
-        }
-
-        if self.dataset is not None:
-            self.dataset.append(
-                Transition(
-                    action=dict(action),
-                    metrics={k: float(v) for k, v in metrics.items()},
-                    reward=float(reward),
-                    source=self._source_tag,
-                    step=self.stats.total_steps,
-                )
-            )
-
-        return observation, float(reward), terminated, truncated, info
+        return result
 
     def step_batch(
         self, actions: Sequence[Mapping[str, Any]]
@@ -483,44 +429,20 @@ class ArchGymEnv:
 
         Semantically this is ``[step(a) for a in actions]`` — same
         rewards, cache counters, episode accounting, dataset rows, and
-        step numbering, byte for byte — except that the design points
-        no cache tier can answer are sent through the backend's
-        ``evaluate_batch`` hook *together*: one HTTP round trip per
+        step numbering, byte for byte, because it runs the same step
+        core — except that the design points no cache tier can answer
+        are sent through the backend's ``evaluate_batch`` hook
+        *together*, as one barrier chunk: one HTTP round trip per
         generation on a remote service (and one scatter over a host
-        pool) instead of one per point.
-
-        The batch is processed in proposal order in two passes. The
-        *decision* pass classifies every point exactly as the serial
-        loop would — consulting the local LRU (simulated forward so
-        in-batch duplicates and evictions resolve identically) and the
-        shared tier — and collects the misses. After one batched
-        dispatch of the misses, the *replay* pass applies the serial
-        per-point bookkeeping in order: counters, LRU insertion and
-        eviction, shared-cache population, reward computation, episode
-        accounting, and dataset logging. A mid-batch episode end is
+        pool) instead of one per point. A mid-batch episode end is
         auto-reset (what the serial driver does between steps); an
         episode end on the final point leaves ``_needs_reset`` set for
         the caller, exactly like :meth:`step`.
         """
-        actions, keys = self._validate_batch(actions, "step_batch")
-        if not actions:
-            return []
-        plan, miss_actions, shared_seen = self._plan_batch(actions, keys)
-
-        # -- one batched dispatch for every miss
-        miss_metrics: List[Dict[str, float]] = []
-        if miss_actions:
-            start = time.perf_counter()
-            miss_metrics = self._dispatch_evaluate_batch(miss_actions)
-            self.stats.total_sim_time += time.perf_counter() - start
-            for metrics in miss_metrics:
-                self._check_metrics(metrics)
-
-        # -- replay pass: the serial per-point bookkeeping, in order
-        return [
-            self._replay_point(action, key, tag, ref, miss_metrics, shared_seen)
-            for action, key, (tag, ref) in zip(actions, keys, plan)
-        ]
+        return list(self._run_steps(
+            actions, "step_batch",
+            lambda misses: [(0, self._dispatch_evaluate_batch(misses))],
+        ))
 
     def step_batch_stream(
         self, actions: Sequence[Mapping[str, Any]]
@@ -528,14 +450,10 @@ class ArchGymEnv:
         """:meth:`step_batch` over a streaming dispatch — results flow
         back per work unit instead of behind a whole-batch barrier.
 
-        Byte-identical to :meth:`step_batch` (which is byte-identical
-        to the serial loop): the decision pass classifies every point
-        the same way, and the replay pass applies the serial
-        bookkeeping in **proposal order** — chunks may *arrive* in any
-        order (a work-stolen straggler unit lands whenever its thief
-        finishes), are buffered, and each point is replayed only once
-        its metrics are in hand. Completed :class:`StepResult` tuples
-        are yielded in proposal order as they become replayable.
+        Byte-identical to :meth:`step_batch` (the same core): chunks
+        may *arrive* in any order (a work-stolen straggler unit lands
+        whenever its thief finishes), are buffered, and each point is
+        replayed in **proposal order** once its metrics are in hand.
 
         Returns a generator; validation and the decision pass run
         eagerly at call time. The caller must drain the generator — a
@@ -545,56 +463,29 @@ class ArchGymEnv:
         (including in-process evaluation) fall back to one whole-batch
         chunk, so this is always safe to call.
         """
-        actions, keys = self._validate_batch(actions, "step_batch_stream")
-        if not actions:
-            return iter(())
-        plan, miss_actions, shared_seen = self._plan_batch(actions, keys)
-        return self._replay_stream(actions, keys, plan, miss_actions, shared_seen)
-
-    def _replay_stream(
-        self,
-        actions: List[Mapping[str, Any]],
-        keys: List[Optional[ActionKey]],
-        plan: List[Tuple[str, Any]],
-        miss_actions: List[Mapping[str, Any]],
-        shared_seen: Dict[ActionKey, Dict[str, float]],
-    ) -> Iterator[StepResult]:
-        """Replay the batch in proposal order against a chunk stream,
-        buffering out-of-order arrivals until the next needed miss
-        index is filled."""
-        miss_metrics: List[Optional[Dict[str, float]]] = [None] * len(miss_actions)
-        chunks = (
-            self._dispatch_evaluate_batch_stream(miss_actions)
-            if miss_actions else iter(())
+        return self._run_steps(
+            actions, "step_batch_stream", self._dispatch_evaluate_batch_stream
         )
 
-        def fill(index: int) -> None:
-            while miss_metrics[index] is None:
-                start = time.perf_counter()
-                try:
-                    chunk_start, metrics_list = next(chunks)
-                except StopIteration:
-                    raise EnvironmentError_(
-                        f"evaluation stream ended with design point "
-                        f"{index} of {len(miss_actions)} unanswered"
-                    ) from None
-                self.stats.total_sim_time += time.perf_counter() - start
-                for offset, metrics in enumerate(metrics_list):
-                    self._check_metrics(metrics)
-                    miss_metrics[chunk_start + offset] = metrics
+    def _run_steps(
+        self,
+        actions: Sequence[Mapping[str, Any]],
+        caller: str,
+        source: Callable[[List[Mapping[str, Any]]], Iterable[Chunk]],
+    ) -> Iterator[StepResult]:
+        """The step core: validate, classify every point
+        (:meth:`_plan_batch`), then replay lazily against the
+        ``(start_index, metrics_list)`` chunks ``source`` returns for
+        the misses.
 
-        for action, key, (tag, ref) in zip(actions, keys, plan):
-            if tag in ("miss", "shared-dup"):
-                fill(ref)
-            yield self._replay_point(
-                action, key, tag, ref, miss_metrics, shared_seen
-            )
-
-    def _validate_batch(
-        self, actions: Sequence[Mapping[str, Any]], caller: str
-    ) -> Tuple[List[Mapping[str, Any]], List[Optional[ActionKey]]]:
-        """Shared batched-step entry checks: reset state, per-point
-        validation, and (when any cache tier is on) canonical keys."""
+        Validation and the decision pass run now; the returned generator
+        calls ``source`` when it reaches the first miss (the call and
+        every chunk wait count as ``total_sim_time``), buffers
+        out-of-order chunks, and replays each point in proposal order
+        once its metrics are in hand. A backend reply that overruns the
+        misses sent, or ends with some unanswered, raises
+        :class:`EnvironmentError_` with both counts.
+        """
         if self._needs_reset:
             raise EnvironmentError_(f"call reset() before {caller}()")
         actions = list(actions)
@@ -608,14 +499,52 @@ class ArchGymEnv:
             canonical_action_key(action) if caching else None
             for action in actions
         ]
-        return actions, keys
+        plan, miss_actions, shared_seen = self._plan_batch(actions, keys)
+        return self._replay(actions, keys, plan, miss_actions, shared_seen, source)
 
-    def _check_metrics(self, metrics: Mapping[str, float]) -> None:
-        missing = [m for m in self.observation_metrics if m not in metrics]
-        if missing:
-            raise EnvironmentError_(
-                f"cost model did not report metrics {missing}; "
-                f"got {sorted(metrics)}"
+    def _replay(
+        self,
+        actions: List[Mapping[str, Any]],
+        keys: List[Optional[ActionKey]],
+        plan: List[Tuple[str, Any]],
+        miss_actions: List[Mapping[str, Any]],
+        shared_seen: Dict[ActionKey, Dict[str, float]],
+        source: Callable[[List[Mapping[str, Any]]], Iterable[Chunk]],
+    ) -> Iterator[StepResult]:
+        n_misses = len(miss_actions)
+        miss_metrics: List[Optional[Dict[str, float]]] = [None] * n_misses
+        chunks: Optional[Iterator[Chunk]] = None
+        for action, key, (tag, ref) in zip(actions, keys, plan):
+            while tag in ("miss", "shared-dup") and miss_metrics[ref] is None:
+                start = time.perf_counter()
+                if chunks is None:  # dispatch on the first miss replayed
+                    chunks = iter(source(miss_actions))
+                try:
+                    chunk_start, metrics_list = next(chunks)
+                except StopIteration:
+                    raise EnvironmentError_(
+                        "evaluation stream ended with "
+                        f"{n_misses - miss_metrics.count(None)} of {n_misses} "
+                        f"design points answered (design point {ref} has none)"
+                    ) from None
+                self.stats.total_sim_time += time.perf_counter() - start
+                if chunk_start < 0 or chunk_start + len(metrics_list) > n_misses:
+                    raise EnvironmentError_(
+                        f"evaluation backend returned {len(metrics_list)} "
+                        f"metrics from design point {chunk_start} of the "
+                        f"{n_misses} sent (expected at most "
+                        f"{max(n_misses - chunk_start, 0)})"
+                    )
+                for offset, metrics in enumerate(metrics_list):
+                    missing = [m for m in self.observation_metrics if m not in metrics]
+                    if missing:
+                        raise EnvironmentError_(
+                            f"cost model did not report metrics {missing}; "
+                            f"got {sorted(metrics)}"
+                        )
+                    miss_metrics[chunk_start + offset] = metrics
+            yield self._replay_point(
+                action, key, tag, ref, miss_metrics, shared_seen
             )
 
     def _plan_batch(
@@ -627,12 +556,17 @@ class ArchGymEnv:
         List[Mapping[str, Any]],
         Dict[ActionKey, Dict[str, float]],
     ]:
-        """Decision pass of a batched step: classify every point as the
-        serial loop would.
+        """Decision pass: classify every point as the serial loop would.
 
-        ``sim`` shadows the local LRU's key set (values irrelevant) so
-        in-batch duplicates — and duplicates evicted again by a batch
-        larger than the LRU — resolve exactly as they would serially.
+        ``sim`` shadows the local LRU's recency order so in-batch
+        duplicates — and duplicates evicted again by a batch larger
+        than the LRU — resolve exactly as they would serially. It is
+        seeded with only the ``len(actions)`` least-recent keys: each
+        point inserts or refreshes at most one key, so evicting the key
+        at recency rank ``r`` takes ``r + 1`` points, and every other
+        pre-batch key stays resident and is answered from the real LRU.
+        A one-point plan therefore costs O(1), not O(LRU size).
+
         Returns ``(plan, miss_actions, shared_seen)``: per-point
         ``("local"|"shared"|"shared-dup"|"miss", ref)`` tags, the
         design points no cache tier could answer (in proposal order),
@@ -640,24 +574,30 @@ class ArchGymEnv:
         """
         plan: List[Tuple[str, Any]] = []
         miss_actions: List[Mapping[str, Any]] = []
-        sim: "Optional[OrderedDict[ActionKey, None]]" = (
-            OrderedDict((k, None) for k in self._eval_cache)
-            if self._eval_cache is not None
-            else None
+        cache = self._eval_cache
+        sim: "OrderedDict[ActionKey, None]" = OrderedDict.fromkeys(
+            islice(cache or (), len(actions))
         )
+        size = len(cache or ())
+        evicted: Set[ActionKey] = set()
         pending: Dict[ActionKey, int] = {}  # in-batch miss -> its index
         shared_seen: Dict[ActionKey, Dict[str, float]] = {}
 
         def sim_remember(key: ActionKey) -> None:
-            if sim is None:
+            nonlocal size
+            if cache is None:
                 return
             sim[key] = None
-            sim.move_to_end(key)
-            while len(sim) > self._eval_cache_maxsize:
-                sim.popitem(last=False)
+            size += 1
+            while size > self._eval_cache_maxsize:
+                evicted.add(sim.popitem(last=False)[0])
+                size -= 1
 
         for action, key in zip(actions, keys):
-            if sim is not None and key in sim:
+            if cache is not None and (
+                key in sim or (key in cache and key not in evicted)
+            ):
+                sim[key] = None  # an unseeded pre-batch key joins the shadow
                 sim.move_to_end(key)
                 plan.append(("local", key))
                 continue
@@ -695,10 +635,11 @@ class ArchGymEnv:
         miss_metrics: Sequence[Optional[Dict[str, float]]],
         shared_seen: Dict[ActionKey, Dict[str, float]],
     ) -> StepResult:
-        """Replay pass for one classified point: the serial per-point
+        """Replay pass for one classified point: the per-point gym step
         bookkeeping — counters, LRU insertion/eviction, shared-cache
-        population, reward, episode accounting, dataset logging — in
-        exactly the order :meth:`step` applies it."""
+        population, reward, episode accounting, dataset logging. The
+        only copy of it; :meth:`step`, :meth:`step_batch` and
+        :meth:`step_batch_stream` all end here."""
         if self._needs_reset:
             # A mid-batch episode end: the serial driver resets
             # between steps, so the batch path does too.
