@@ -4,7 +4,10 @@ The policy is a *pheromone table*: one trail level per (parameter,
 value) pair. Each ant constructs a design by sampling every parameter
 proportionally to ``pheromone ** alpha`` — or greedily picking the
 strongest trail with probability ``greediness`` (Q3's
-exploration/exploitation switch). After a cohort of ``n_ants``
+exploration/exploitation switch). The weighted draw is
+``Generator.choice``'s own inverse-CDF rule on one ``rng.random()``
+(:func:`~repro.agents.base._choice_index`), so it draws exactly what
+``rng.choice(len(trail), p=weights)`` would. After a cohort of ``n_ants``
 completes, trails evaporate by ``evaporation_rate`` and the cohort's
 best ants deposit rank-weighted pheromone on the values they used
 (rank-based deposits keep the update scale-free, since reward
@@ -17,7 +20,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from repro.agents.base import Agent
+from repro.agents.base import Agent, _choice_index
 from repro.core.errors import AgentError
 from repro.core.spaces import CompositeSpace
 
@@ -75,7 +78,7 @@ class ACOAgent(Agent):
             else:
                 weights = trail ** self.alpha
                 weights = weights / weights.sum()
-                indices[i] = int(self.rng.choice(len(trail), p=weights))
+                indices[i] = _choice_index(weights, self.rng.random())
         return self.space.decode(indices)
 
     def propose_batch(self) -> List[Dict[str, Any]]:

@@ -73,6 +73,24 @@ def _jsonify(value: Any) -> Any:
     return value
 
 
+def _choice_index(p: np.ndarray, u: float) -> int:
+    """The index ``Generator.choice(len(p), p=p)`` returns when its one
+    uniform draw is ``u``.
+
+    numpy samples a weighted choice by inverse CDF: the normalized
+    cumulative sum, searched for one ``Generator.random()`` draw. This
+    is that rule without ``choice``'s per-call argument checks, which
+    cost more than the search on the few-valued dimensions of a design
+    space. Passing ``u = rng.random()`` consumes the generator exactly
+    as ``choice`` would, so a caller's RNG stream — and every proposal
+    after it — stays bit-identical. ``p`` must be a valid probability
+    vector (non-negative, summing to one).
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
+
+
 class Agent:
     """Base class for all search agents.
 

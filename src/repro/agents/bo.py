@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.agents.base import Agent
 from repro.agents.gp import GaussianProcess, robust_standardize
@@ -70,6 +69,10 @@ class BOAgent(Agent):
     # -- acquisition functions -------------------------------------------------------
 
     def _acquire(self, mean: np.ndarray, var: np.ndarray, best_z: float) -> np.ndarray:
+        # Imported here: scipy.stats alone takes ~0.8 s to import, which
+        # every CLI run would pay even when no BO agent is in the sweep.
+        from scipy.stats import norm
+
         std = np.sqrt(var)
         if self.acquisition == "ucb":
             return mean + self.kappa * std

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from repro.core.errors import AgentError
 
@@ -77,6 +76,10 @@ class GaussianProcess:
             raise AgentError(f"bad GP training shapes: X{X.shape}, y{y.shape}")
         if len(X) == 0:
             raise AgentError("cannot fit a GP on zero observations")
+        # scipy is imported on first use, not with the agents package:
+        # only a BO run needs it.
+        from scipy.linalg import cho_factor, cho_solve
+
         K = self._kernel(X, X)
         K[np.diag_indices_from(K)] += self.noise
         self._cho = cho_factor(K, lower=True)
@@ -88,6 +91,8 @@ class GaussianProcess:
         """Posterior mean and variance at query points."""
         if self._X is None or self._alpha is None:
             raise AgentError("GP is not fitted")
+        from scipy.linalg import cho_solve
+
         Xs = np.asarray(Xs, dtype=np.float64)
         Ks = self._kernel(Xs, self._X)
         mean = Ks @ self._alpha

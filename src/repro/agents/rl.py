@@ -14,6 +14,11 @@ optimization, in two flavours:
 
 RL's well-known sample inefficiency (paper §6.2) emerges naturally: the
 policy only improves after whole batches of simulator queries.
+
+Each proposal draws one uniform per design dimension and maps it
+through ``Generator.choice``'s inverse-CDF rule
+(:func:`~repro.agents.base._choice_index`), so every index equals what
+``rng.choice(len(p), p=p)`` would have drawn, from the same RNG stream.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from repro.agents.base import Agent
+from repro.agents.base import Agent, _choice_index
 from repro.core.errors import AgentError
 from repro.core.spaces import CompositeSpace
 
@@ -144,8 +149,12 @@ class RLAgent(Agent):
     def propose(self) -> Dict[str, Any]:
         logits, __ = self.net.forward()
         probs = self._dim_probs(logits)
+        # One uniform per dimension, in dimension order: the same stream
+        # as one ``rng.choice(len(p), p=p)`` per dimension, and the same
+        # indices (``_choice_index`` is choice's inverse-CDF rule).
+        draws = self.rng.random(len(probs))
         indices = np.array(
-            [self.rng.choice(len(p), p=p) for p in probs], dtype=np.int64
+            [_choice_index(p, u) for p, u in zip(probs, draws)], dtype=np.int64
         )
         return self.space.decode(indices)
 
@@ -192,6 +201,11 @@ class RLAgent(Agent):
         probs = self._dim_probs(logits)
         n = len(self._batch)
         g_logits = np.zeros_like(logits)
+        # d(log pi)/d(logits) of one sample is ``onehot - p`` per
+        # dimension; laid end to end over all dimensions that is
+        # ``-p_full`` with 1.0 added at each chosen logit.
+        p_full = np.concatenate(probs)
+        starts = self._offsets[:-1]
 
         for s, (indices, __) in enumerate(self._batch):
             if old_log_probs is None:
@@ -203,11 +217,9 @@ class RLAgent(Agent):
                 weight = 0.0 if clipped else adv[s] * ratio
             if weight == 0.0:
                 continue
-            for i, p in enumerate(probs):
-                lo, hi = self._offsets[i], self._offsets[i + 1]
-                g = -p.copy()
-                g[indices[i]] += 1.0
-                g_logits[lo:hi] += weight * g
+            g = -p_full
+            g[starts + indices] += 1.0
+            g_logits += weight * g
 
         g_logits /= n
         g_logits += self.entropy_coef * self._entropy_grad(probs)

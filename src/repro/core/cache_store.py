@@ -28,6 +28,14 @@ that outlive any single environment or process, all sharing one
   so duplicate entries for one key (two processes racing on the same
   miss) are harmless — every copy carries the same metrics, and
   floats survive the JSON round-trip exactly.
+- **Read once.** A refresh calls ``os.stat`` on the shard first and
+  opens it only when it has grown past the handle's read offset, and a
+  handle moves its offset past its own appends whenever ``os.fstat``
+  shows nothing else landed. A handle therefore parses each foreign
+  line once and its own lines never, which is why a sweep keeps *one*
+  handle per shared-cache directory for a whole batch of trials
+  (:func:`repro.sweeps.executor.execute_trials`): a fresh handle per
+  trial would re-parse every line the earlier trials wrote.
 """
 
 from __future__ import annotations
@@ -99,6 +107,14 @@ class SharedCacheStore:
         are skipped) — costs at most a re-simulation, never a wrong
         result. Turn it on when the cache itself is the artifact being
         preserved (e.g. a long-lived server-side store).
+
+    A handle is meant to live long: it keeps every entry it has read or
+    written in memory and only tails the shard files for new bytes (a
+    refresh of an unchanged shard is one ``os.stat``; its own appends
+    are never read back). A sweep shares one handle across all the
+    trials of a batch. Because the view outlives the files, a directory
+    deleted mid-sweep keeps serving that sweep's own deterministic
+    entries until the batch ends, instead of re-simulating them.
     """
 
     def __init__(
@@ -213,7 +229,16 @@ class SharedCacheStore:
     def _append(self, shard: int, line: bytes) -> None:
         """One atomic ``O_APPEND`` write; recreates a shard directory
         deleted out from under the store (e.g. a cleanup racing a
-        long-lived server) instead of failing the sweep."""
+        long-lived server) instead of failing the sweep.
+
+        Own-append skip: when ``os.fstat`` shows the file is now exactly
+        the read offset plus ``line``, every byte before the line was
+        already read and the line is this write, which the caller
+        folds into the view itself — so the offset moves past it and
+        no later refresh re-reads or re-parses it. Any other size (a
+        torn trailing line before ours, a foreign writer's bytes on
+        either side) leaves the offset alone, and the next refresh
+        reads all of it exactly as it would have without the skip."""
         path = self._shard_path(shard)
         try:
             fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
@@ -225,6 +250,8 @@ class SharedCacheStore:
             os.write(fd, line)  # single write on O_APPEND: atomic append
             if self.durable:
                 os.fsync(fd)
+            if os.fstat(fd).st_size == self._offsets[shard] + len(line):
+                self._offsets[shard] += len(line)
         finally:
             os.close(fd)
 
@@ -266,10 +293,15 @@ class SharedCacheStore:
         """Fold any bytes appended since the last read into the local
         view. Only complete lines (ending in a newline) are consumed —
         a concurrent writer's in-flight line is picked up next time.
-        A shard file (or directory) that does not exist contributes
-        nothing — never an exception."""
+        A shard file (or directory) that does not exist, or has no
+        bytes past the read offset, contributes nothing — never an
+        exception, and (checked by ``os.stat``) never an ``open``."""
         path = self._shard_path(shard)
         try:
+            # Stat first: a shard that has not grown past the read
+            # offset (the common miss) costs no open and no read.
+            if os.stat(path).st_size <= self._offsets[shard]:
+                return
             with path.open("rb") as f:
                 f.seek(self._offsets[shard])
                 chunk = f.read()

@@ -77,6 +77,11 @@ from repro.service.wire import (
 
 __all__ = ["EvaluationService"]
 
+#: How often an idle serve loop checks for :meth:`EvaluationService.stop`.
+#: ``shutdown()`` waits for that check, so the stdlib default of 0.5 s
+#: made every ``stop()`` of an idle service take up to half a second.
+_POLL_INTERVAL_S = 0.02
+
 EnvFactory = Callable[..., ArchGymEnv]
 
 
@@ -424,6 +429,7 @@ class EvaluationService:
         self._httpd = self._make_httpd()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            args=(_POLL_INTERVAL_S,),
             name="archgym-evaluation-service",
             daemon=True,
         )
@@ -447,7 +453,7 @@ class EvaluationService:
         self._stopping = False
         self._httpd = self._make_httpd()
         try:
-            self._httpd.serve_forever()
+            self._httpd.serve_forever(_POLL_INTERVAL_S)
         finally:
             self._httpd.server_close()
             self._close_connections()

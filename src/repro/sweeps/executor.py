@@ -242,6 +242,47 @@ def clear_backend_cache() -> None:
     _BACKEND_CACHE.clear()
 
 
+#: One file-backed shared-cache handle per directory for the batch
+#: being run: a handle tails the shard files and never re-reads its own
+#: appends, so reusing it across a batch's trials parses each entry
+#: once, where a fresh handle per trial re-parsed everything the earlier
+#: trials wrote. Owned by the process that opened the batch (PID-guarded
+#: like ``_BACKEND_CACHE``: a forked child never uses its parent's
+#: handles) and emptied when the batch ends, so no entry outlives the
+#: batch that read it.
+_SHARED_STORES: Dict[str, Any] = {}
+#: PID of the process whose batch owns ``_SHARED_STORES``; ``None``
+#: between batches, when :func:`run_trial` opens a fresh handle.
+_SHARED_STORES_PID: Optional[int] = None
+
+
+def _open_shared_stores() -> None:
+    """Start a batch in this process (also a pool worker initializer:
+    a pool process lives for exactly one batch)."""
+    global _SHARED_STORES_PID
+    _SHARED_STORES.clear()
+    _SHARED_STORES_PID = os.getpid()
+
+
+def _close_shared_stores() -> None:
+    global _SHARED_STORES_PID
+    _SHARED_STORES.clear()
+    _SHARED_STORES_PID = None
+
+
+def _shared_store(directory: str) -> Any:
+    """The :class:`SharedCacheStore` a trial attaches for ``directory``:
+    the batch's handle inside a batch, a fresh one outside."""
+    from repro.core.cache_store import SharedCacheStore
+
+    if _SHARED_STORES_PID != os.getpid():
+        return SharedCacheStore(directory)
+    store = _SHARED_STORES.get(directory)
+    if store is None:
+        store = _SHARED_STORES[directory] = SharedCacheStore(directory)
+    return store
+
+
 def resolve_execution_backend(
     service_url: Optional[Union[str, Sequence[str]]],
     shared_cache: bool,
@@ -381,9 +422,10 @@ class TrialTask:
     #: and a factory passing ``cache_size=0`` has opted out on
     #: purpose); ``True`` force-enables; ``False`` force-disables.
     cache: Optional[bool] = None
-    #: Directory of a cross-process :class:`SharedCacheStore`; workers
-    #: open their own handle, so only the path crosses the pickle
-    #: boundary. ``None`` disables the shared tier.
+    #: Directory of a cross-process :class:`SharedCacheStore`; each
+    #: process opens its own handle (one per batch, shared by the
+    #: batch's trials), so only the path crosses the pickle boundary.
+    #: ``None`` disables the shared tier.
     shared_cache_dir: Optional[str] = None
     #: Where the cost model runs: ``None`` (in-process) or a
     #: :class:`BackendSpec` — e.g. remote, against an evaluation
@@ -464,9 +506,7 @@ def run_trial(task: TrialTask) -> TrialOutcome:
         if remote is not None:
             env.attach_backend(remote)
         if task.shared_cache_dir is not None:
-            from repro.core.cache_store import SharedCacheStore
-
-            env.attach_shared_cache(SharedCacheStore(task.shared_cache_dir))
+            env.attach_shared_cache(_shared_store(task.shared_cache_dir))
         elif task.server_cache_url is not None:
             from repro.core.cache_store import ServerCacheStore
 
@@ -590,6 +630,7 @@ def execute_trials(
     outcomes: List[TrialOutcome] = []
 
     if workers == 1:
+        _open_shared_stores()
         try:
             for task in ordered:
                 outcome = run_trial(task)
@@ -601,11 +642,16 @@ def execute_trials(
             # Trial teardown: leave no open sockets behind the batch.
             # The memoized backends themselves survive (quarantine
             # state, counters); connections reopen on next dispatch.
+            # The shared-cache handles do not: the next batch re-reads
+            # the directory from scratch.
             close_cached_backends()
+            _close_shared_stores()
         return outcomes
 
     _check_picklable(tasks)
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
+    pool = ProcessPoolExecutor(
+        max_workers=min(workers, len(tasks)), initializer=_open_shared_stores
+    )
     completed_ok = False
     try:
         futures = [pool.submit(run_trial, task) for task in ordered]

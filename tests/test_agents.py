@@ -313,3 +313,34 @@ def test_prop_agents_deterministic_given_seed(seed):
         r2 = run_on_peak(name, n=40, seed=seed)
         assert r1.reward_history == r2.reward_history
         assert r1.best_action == r2.best_action
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is imported by the BO agent on first use, not at start-up:
+    the CLI and the sweep package load without it (about 0.8 s of
+    ``setup_s`` on every run that does not use BO)."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys, repro.cli, repro.sweeps\n"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_bo_still_runs_with_lazy_scipy():
+    for acquisition in ("ei", "ucb", "pi"):
+        result = run_agent(
+            BOAgent(small_space(), seed=3, acquisition=acquisition, n_init=4,
+                    candidate_pool=16),
+            PeakEnv(), n_samples=10, seed=3,
+        )
+        assert len(result.reward_history) == 10

@@ -295,6 +295,110 @@ class TestCorruptionTolerance:
         assert fresh.get(_key(2)) == {"cost": 2.0}
 
 
+class TestReadOnce:
+    """A handle reads each foreign byte once and its own appends never:
+    a refresh of an unchanged shard is one ``os.stat``, and an append
+    the handle can prove is alone in the file moves its read offset."""
+
+    @staticmethod
+    def _count_parses(monkeypatch):
+        import json
+        import types
+
+        import repro.core.cache_store as cache_store
+
+        parsed = []
+
+        def loads(data, *args, **kwargs):
+            parsed.append(data)
+            return json.loads(data, *args, **kwargs)
+
+        monkeypatch.setattr(
+            cache_store, "json", types.SimpleNamespace(dumps=json.dumps, loads=loads)
+        )
+        return parsed
+
+    @staticmethod
+    def _count_opens(monkeypatch):
+        from pathlib import Path
+
+        opened = []
+        real_open = Path.open
+
+        def counting_open(self, *args, **kwargs):
+            opened.append(self.name)
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        return opened
+
+    def test_miss_on_unchanged_shard_opens_no_file(self, tmp_path, monkeypatch):
+        writer = SharedCacheStore(tmp_path / "cache", n_shards=1)
+        for i in range(3):
+            writer.put(_key(i), {"cost": float(i)})
+        reader = SharedCacheStore(tmp_path / "cache", n_shards=1)
+        opened = self._count_opens(monkeypatch)
+        assert reader.get(_key(50)) is None  # first look reads the 3 lines
+        assert opened == ["shard-000.jsonl"]
+        assert reader.get(_key(51)) is None
+        assert reader.get(_key(52)) is None
+        assert len(reader) == 3
+        assert opened == ["shard-000.jsonl"]  # the shard never grew
+
+    def test_handle_never_reparses_its_own_appends(self, tmp_path, monkeypatch):
+        store = SharedCacheStore(tmp_path / "cache", n_shards=2)
+        parsed = self._count_parses(monkeypatch)
+        opened = self._count_opens(monkeypatch)
+        for i in range(40):
+            store.put(_key(i), {"cost": i / 7.0})
+            assert store.get(_key(1000 + i)) is None  # a miss refreshes
+        assert [store.get(_key(i)) for i in range(40)] == [
+            {"cost": i / 7.0} for i in range(40)
+        ]
+        assert len(store) == 40
+        assert parsed == [] and opened == []
+        sizes = [store._shard_path(s).stat().st_size for s in range(2)]
+        assert store._offsets == sizes
+
+    def test_foreign_append_between_gets_is_seen(self, tmp_path):
+        mine = SharedCacheStore(tmp_path / "cache", n_shards=1)
+        theirs = SharedCacheStore(tmp_path / "cache", n_shards=1)
+        mine.put(_key(1), {"cost": 1.0})
+        assert mine.get(_key(2)) is None
+        theirs.put(_key(2), {"cost": 2.0})
+        assert mine.get(_key(2)) == {"cost": 2.0}
+        # A foreign line *before* an own append: the file grew by more
+        # than the own line, so the offset stays and both are read.
+        theirs.put(_key(3), {"cost": 3.0})
+        mine.put(_key(4), {"cost": 4.0})
+        theirs.put(_key(5), {"cost": 5.0})
+        assert mine.get(_key(3)) == {"cost": 3.0}
+        assert mine.get(_key(5)) == {"cost": 5.0}
+        assert theirs.get(_key(4)) == {"cost": 4.0}
+        assert len(mine) == len(theirs) == 5
+
+    def test_own_append_after_torn_line_keeps_todays_result(self, tmp_path):
+        """The torn prefix and the own line fuse into one corrupt line.
+        The handle keeps serving its own entry from memory; a fresh
+        handle loses just that entry; later lines still parse."""
+        store = SharedCacheStore(tmp_path / "cache", n_shards=1)
+        store.put(_key(1), {"cost": 1.0})
+        shard = tmp_path / "cache" / "shard-000.jsonl"
+        with shard.open("ab") as f:
+            f.write(b'{"k": "torn')  # a writer died mid-append
+        offset = store._offsets[0]
+        store.put(_key(2), {"cost": 2.0})
+        assert store._offsets[0] == offset  # not skipped: torn bytes first
+        SharedCacheStore(tmp_path / "cache", n_shards=1).put(_key(3), {"cost": 3.0})
+        assert store.get(_key(3)) == {"cost": 3.0}
+        assert store._offsets[0] == shard.stat().st_size
+        assert store.get(_key(2)) == {"cost": 2.0}
+        fresh = SharedCacheStore(tmp_path / "cache", n_shards=1)
+        assert fresh.get(_key(1)) == {"cost": 1.0}
+        assert fresh.get(_key(2)) is None
+        assert fresh.get(_key(3)) == {"cost": 3.0}
+
+
 class TestServerStoreSpecifics:
     def test_unreachable_server_fails_loudly(self):
         import socket

@@ -397,6 +397,68 @@ class TestExecutor:
         assert [o.index for o in outcomes] == [0, 1, 2, 3]
 
 
+class TestSharedStorePerBatch:
+    """A batch shares one file-tier handle per shared-cache directory
+    and drops it when the batch ends."""
+
+    @staticmethod
+    def _tasks(directory, n=5, factory=CountingEnv):
+        return [
+            TrialTask(
+                index=i, agent="rw", hyperparams={"locality": 0.2},
+                agent_seed=100 + i, run_seed=200 + i, n_samples=12,
+                env_factory=factory, cache=True, shared_cache_dir=str(directory),
+            )
+            for i in range(n)
+        ]
+
+    @staticmethod
+    def _count_stores(monkeypatch):
+        import repro.core.cache_store as cache_store
+
+        built = []
+
+        class CountingStore(cache_store.SharedCacheStore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(cache_store, "SharedCacheStore", CountingStore)
+        return built
+
+    def test_one_handle_per_batch_dropped_at_the_end(self, tmp_path, monkeypatch):
+        from repro.sweeps import executor
+
+        built = self._count_stores(monkeypatch)
+        batched = execute_trials(self._tasks(tmp_path / "batch"), workers=1)
+        assert len(built) == 1
+        assert executor._SHARED_STORES == {}
+        assert executor._SHARED_STORES_PID is None
+        # Outside a batch every trial opens its own handle, as before;
+        # the shared handle changes no result.
+        fresh = [run_trial(t) for t in self._tasks(tmp_path / "fresh")]
+        assert len(built) == 6
+        def timeless(outcome):
+            return {**outcome.result.to_record(), "wall_time_s": 0.0, "sim_time_s": 0.0}
+
+        assert [timeless(o) for o in batched] == [timeless(o) for o in fresh]
+        assert sum(o.result.shared_cache_hits for o in batched) > 0
+
+    def test_failed_batch_drops_its_handle(self, tmp_path, monkeypatch):
+        from repro.sweeps import executor
+
+        class BrokenEnv(CountingEnv):
+            def evaluate(self, action):
+                raise RuntimeError("simulator crashed")
+
+        built = self._count_stores(monkeypatch)
+        with pytest.raises(RuntimeError, match="simulator crashed"):
+            execute_trials(self._tasks(tmp_path, n=2, factory=BrokenEnv), workers=1)
+        assert len(built) == 1
+        assert executor._SHARED_STORES == {}
+        assert executor._SHARED_STORES_PID is None
+
+
 class TestBackendSpec:
     """The serializable "where does evaluate() run" half of a task.
 

@@ -261,6 +261,17 @@ class TestServerEndpoints:
         with pytest.raises(ServiceError, match="already registered"):
             service.register("SvcCounting-v0", SvcCountingEnv)
 
+    def test_stop_of_idle_service_is_prompt(self):
+        """``stop()`` waits for the serve loop's next poll; an idle
+        service must not make it wait the stdlib's 0.5 s default."""
+        svc = EvaluationService()
+        svc.register("SvcCounting-v0", SvcCountingEnv)
+        svc.start()
+        time.sleep(0.05)  # let the serve loop settle into its poll
+        started = time.perf_counter()
+        svc.stop()
+        assert time.perf_counter() - started < 0.2
+
     def test_busy_time_accumulates_on_healthz(self, client):
         """``busy_s`` is the auto-weights denominator: it must start at
         zero, grow with real cost-model work (single and batched), and
