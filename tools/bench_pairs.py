@@ -7,7 +7,8 @@ runs parent then change, pair 2 change then parent, ...) so a slow
 drift of the machine hits both sides alike. The parent runs from a
 detached ``git worktree`` of ``--parent`` (removed afterwards), or
 from ``--parent-dir`` when a checkout of it already exists; the change
-runs from this checkout, working-tree edits included.
+runs from this checkout, working-tree edits included (recorded as
+``uncommitted_changes`` when they touch ``src/`` or ``perfbench/``).
 
 Every run must end ``correct: true`` with ``failed: 0``; any other
 outcome stops the tool with exit status 1 and writes nothing. For each
@@ -135,9 +136,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--pairs must be >= 1")
 
     parent = {"sha": git("rev-parse", args.parent)}
+    # Only src/ and perfbench/ decide what a run measures; edits to
+    # docs or tools while the pairs run do not make the change dirty.
     change = {"sha": git("rev-parse", "HEAD"),
-              "uncommitted_changes": bool(git("status", "--porcelain",
-                                              "--untracked-files=no"))}
+              "uncommitted_changes": bool(git(
+                  "status", "--porcelain", "--untracked-files=no", "--",
+                  "src", "perfbench"))}
     worktree: Optional[Path] = None
     if args.parent_dir is not None:
         parent_dir = args.parent_dir.resolve()
